@@ -17,7 +17,6 @@ import random
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 from qmatroid import _core_py
 from qmatroid.groebner import EngineConfig, buchberger
@@ -78,7 +77,7 @@ def reduce_task(mod, triples, patterns, words):
     def run():
         total = 0
         for w in words:
-            out = mod.reduce_terms({w: Fraction(1)}, triples, auto)
+            out = mod.reduce_terms({w: 1}, triples, auto)
             total += len(out)
         return total
 

@@ -63,7 +63,6 @@ class RunConfig:
     time_budget: float | None = 600.0
     threads: int = 1
     shortcuts_enabled: bool = True
-    output_path: str | None = None
     axioms: tuple[str, ...] = ("bases", "circuits")
 
     def engine_config(self) -> EngineConfig:

@@ -174,7 +174,6 @@ def cmd_tables(args) -> int:
         time_budget=time_budget,
         threads=args.threads,
         shortcuts_enabled=not args.no_shortcuts,
-        output_path=args.out,
     )
     jobs = enumerate_jobs(args.max_n)
     if args.fixtures:

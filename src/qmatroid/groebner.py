@@ -23,9 +23,12 @@ from typing import Iterable, Sequence
 from . import kernel
 from .ncpoly import (
     Algebra,
+    Coeff,
     NcPolynomial,
     VariableUniverseMismatch,
     ZeroPolynomial,
+    as_coeff,
+    normal_terms,
     poly_data,
 )
 
@@ -166,7 +169,7 @@ def s_polynomial(ob: Obstruction, f: NcPolynomial, g: NcPolynomial) -> NcPolynom
     lg = _shift(g, ob.g_left, ob.g_right, g.leading_coeff())
     terms = dict(lf)
     for w, c in lg.items():
-        acc = terms.get(w, Fraction(0)) - c
+        acc = as_coeff(terms.get(w, 0) - c)
         if acc:
             terms[w] = acc
         else:
@@ -174,8 +177,9 @@ def s_polynomial(ob: Obstruction, f: NcPolynomial, g: NcPolynomial) -> NcPolynom
     return NcPolynomial(f.alg, terms)
 
 
-def _shift(p: NcPolynomial, left: bytes, right: bytes, denom: Fraction) -> dict[bytes, Fraction]:
-    return {left + w + right: c / denom for w, c in p.terms.items()}
+def _shift(p: NcPolynomial, left: bytes, right: bytes, denom: Coeff) -> dict[bytes, Coeff]:
+    denom = Fraction(denom)
+    return {left + w + right: as_coeff(c / denom) for w, c in p.terms.items()}
 
 
 def build_reducer(basis: Sequence[NcPolynomial]) -> kernel.Automaton:
@@ -191,7 +195,7 @@ class _Engine:
         self.alg = alg
         self.config = config
         self.polys: list[NcPolynomial] = []
-        self.data: list[tuple[bytes, Fraction, tuple]] = []
+        self.data: list[tuple[bytes, Coeff, tuple]] = []
         self.automaton = kernel.Automaton()
         self.queue: list = []
         self.seq = 0
@@ -204,8 +208,9 @@ class _Engine:
     def out_of_time(self) -> bool:
         return self.deadline is not None and time.monotonic() > self.deadline
 
-    def append(self, p: NcPolynomial) -> None:
-        p = p.monic()
+    def append(self, terms: dict) -> None:
+        """Add a nonzero remainder from the kernel to the basis, made monic."""
+        p = NcPolynomial(self.alg, normal_terms(terms)).monic()
         lt = p.leading_word()
         if not lt:
             # a nonzero constant: the ideal is the whole ring
@@ -262,7 +267,7 @@ def buchberger(generators: Iterable[NcPolynomial], config: EngineConfig) -> Groe
             break
         rem = eng.reduce(g.terms)
         if rem:
-            eng.append(NcPolynomial(alg, rem))
+            eng.append(rem)
             if eng.unit:
                 status = GBStatus.complete()
                 break
@@ -278,17 +283,17 @@ def buchberger(generators: Iterable[NcPolynomial], config: EngineConfig) -> Groe
         eng.iterations += 1
         f = eng.data[j]
         g = eng.data[t]
-        terms: dict[bytes, Fraction] = {}
+        terms: dict[bytes, Coeff] = {}
         for w, c in _iter_terms(f):
             nw = lf + w + rf
-            acc = terms.get(nw, Fraction(0)) + c
+            acc = terms.get(nw, 0) + c
             if acc:
                 terms[nw] = acc
             else:
                 terms.pop(nw, None)
         for w, c in _iter_terms(g):
             nw = lg + w + rg
-            acc = terms.get(nw, Fraction(0)) - c
+            acc = terms.get(nw, 0) - c
             if acc:
                 terms[nw] = acc
             else:
@@ -297,7 +302,7 @@ def buchberger(generators: Iterable[NcPolynomial], config: EngineConfig) -> Groe
             continue
         rem = eng.reduce(terms)
         if rem:
-            eng.append(NcPolynomial(alg, rem))
+            eng.append(rem)
             if eng.unit:
                 status = GBStatus.complete()
                 break
@@ -318,7 +323,7 @@ def buchberger(generators: Iterable[NcPolynomial], config: EngineConfig) -> Groe
     )
 
 
-def _iter_terms(data: tuple[bytes, Fraction, tuple]) -> Iterable[tuple[bytes, Fraction]]:
+def _iter_terms(data: tuple[bytes, Coeff, tuple]) -> Iterable[tuple[bytes, Coeff]]:
     lt, lc, tail = data
     yield (lt, lc)
     yield from tail
@@ -360,7 +365,7 @@ def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
         rem_terms = kernel.reduce_terms(p.terms, data, automaton, None)
         if not rem_terms:
             continue
-        x = NcPolynomial(alg, rem_terms).monic()
+        x = NcPolynomial(alg, normal_terms(rem_terms)).monic()
         xlt = x.leading_word()
         if not xlt:
             return [alg.one()]
@@ -393,7 +398,7 @@ def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
     for i in range(len(kept)):
         lt, lc, tail = data[i]
         reduced_tail = kernel.reduce_terms(dict(tail), data, automaton, None)
-        terms = dict(reduced_tail)
+        terms = normal_terms(reduced_tail)
         terms[lt] = lc
         p = NcPolynomial(alg, terms)
         kept[i] = p

@@ -3,7 +3,10 @@
 An Algebra fixes the ground labels; its n*n generators u[i,j] (i, j ground
 labels) are single letters.  Words are bytes: letter (i, j) encodes to
 row_position * n + col_position, which makes the (row, col) lexicographic
-variable order the byte order.  Polynomials map words to nonzero Fractions.
+variable order the byte order.  Polynomials map words to nonzero
+coefficients: an integral coefficient is an int, any other is a Fraction, and
+none is ever a float (as_coeff enforces this), so integral input stays in
+int arithmetic.
 
 The monomial order is graded: shorter words are smaller, equal-length words
 compare letterwise from the right and the word whose first differing letter
@@ -20,12 +23,32 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from . import kernel
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+Coeff = int | Fraction
+
+ZERO = 0
+ONE = 1
+
+
+def as_coeff(c) -> Coeff:
+    """A coefficient in normal form: int when integral, Fraction otherwise.
+
+    Accepts anything Fraction accepts (ints, Fractions, floats, decimal
+    strings); the conversion is exact, so a float never survives.
+    """
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def normal_terms(terms: Mapping[bytes, Coeff]) -> dict[bytes, Coeff]:
+    """A term dict with every coefficient in as_coeff normal form."""
+    return {w: c if type(c) is int else as_coeff(c) for w, c in terms.items()}
 
 
 class VariableUniverseMismatch(ValueError):
@@ -96,9 +119,6 @@ class Algebra:
     def compare_words(self, w1: bytes, w2: bytes) -> int:
         return kernel.compare_words(w1, w2)
 
-    def word_key(self, w: bytes):
-        return kernel.sort_key(w)
-
     # -- polynomial constructors -------------------------------------------
 
     def zero(self) -> NcPolynomial:
@@ -108,20 +128,20 @@ class Algebra:
         return NcPolynomial(self, {b"": ONE})
 
     def constant(self, c) -> NcPolynomial:
-        c = Fraction(c)
+        c = as_coeff(c)
         return NcPolynomial(self, {b"": c} if c else {})
 
     def gen(self, row: int, col: int) -> NcPolynomial:
         return NcPolynomial(self, {bytes([self.var_id(row, col)]): ONE})
 
     def monomial(self, pairs: Iterable[tuple[int, int]], coeff=ONE) -> NcPolynomial:
-        c = Fraction(coeff)
+        c = coeff if type(coeff) is int else as_coeff(coeff)
         if not c:
             return self.zero()
         return NcPolynomial(self, {self.word(pairs): c})
 
-    def poly(self, terms: Mapping[bytes, Fraction]) -> NcPolynomial:
-        return NcPolynomial(self, {w: Fraction(c) for w, c in terms.items() if c})
+    def poly(self, terms: Mapping[bytes, Coeff]) -> NcPolynomial:
+        return NcPolynomial(self, {w: as_coeff(c) for w, c in terms.items() if c})
 
     # -- text form -----------------------------------------------------------
 
@@ -154,7 +174,7 @@ class Algebra:
             raise ParseError("empty polynomial text")
         if s == "0":
             return self.zero()
-        terms: dict[bytes, Fraction] = {}
+        terms: dict[bytes, Coeff] = {}
         for chunk in s.replace("-", "+-").split("+"):
             chunk = chunk.strip()
             if not chunk:
@@ -174,11 +194,11 @@ class Algebra:
                     letters.append(self.var_id(int(m.group(1)), int(m.group(2))))
                     continue
                 try:
-                    coeff *= Fraction(factor)
+                    coeff *= int(factor) if factor.isdecimal() else Fraction(factor)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ParseError(f"bad factor {factor!r} in {text!r}") from exc
             w = bytes(letters)
-            acc = terms.get(w, ZERO) + coeff
+            acc = as_coeff(terms.get(w, ZERO) + coeff)
             if acc:
                 terms[w] = acc
             else:
@@ -189,16 +209,20 @@ class Algebra:
 _VAR_RE = re.compile(r"u\[\s*(\d+)\s*,\s*(\d+)\s*\]")
 
 
-def _fmt_frac(c: Fraction) -> str:
+def _fmt_frac(c: Coeff) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 class NcPolynomial:
-    """Immutable-by-convention free polynomial: dict of word -> nonzero Fraction."""
+    """Immutable-by-convention free polynomial: dict of word -> nonzero coefficient.
+
+    An integral coefficient is an int and any other is a Fraction; every
+    constructor and ring operation keeps to this (see as_coeff).
+    """
 
     __slots__ = ("alg", "terms")
 
-    def __init__(self, alg: Algebra, terms: dict[bytes, Fraction]):
+    def __init__(self, alg: Algebra, terms: dict[bytes, Coeff]):
         self.alg = alg
         self.terms = terms
 
@@ -214,7 +238,7 @@ class NcPolynomial:
         self._check(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            acc = terms.get(w, ZERO) + c
+            acc = as_coeff(terms.get(w, ZERO) + c)
             if acc:
                 terms[w] = acc
             else:
@@ -236,16 +260,16 @@ class NcPolynomial:
 
     def __mul__(self, other) -> NcPolynomial:
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = as_coeff(other)
             if not c:
                 return self.alg.zero()
-            return NcPolynomial(self.alg, {w: cv * c for w, cv in self.terms.items()})
+            return NcPolynomial(self.alg, {w: as_coeff(cv * c) for w, cv in self.terms.items()})
         self._check(other)
-        terms: dict[bytes, Fraction] = {}
+        terms: dict[bytes, Coeff] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                acc = terms.get(w, ZERO) + c1 * c2
+                acc = as_coeff(terms.get(w, ZERO) + c1 * c2)
                 if acc:
                     terms[w] = acc
                 else:
@@ -275,11 +299,11 @@ class NcPolynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def sorted_terms(self) -> list[tuple[bytes, Fraction]]:
+    def sorted_terms(self) -> list[tuple[bytes, Coeff]]:
         key = kernel.sort_key
         return sorted(self.terms.items(), key=lambda item: key(item[0]), reverse=True)
 
-    def leading_term(self) -> tuple[bytes, Fraction]:
+    def leading_term(self) -> tuple[bytes, Coeff]:
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no leading term")
         key = kernel.sort_key
@@ -289,7 +313,7 @@ class NcPolynomial:
     def leading_word(self) -> bytes:
         return self.leading_term()[0]
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self) -> Coeff:
         return self.leading_term()[1]
 
     def degree(self) -> int:
@@ -302,22 +326,23 @@ class NcPolynomial:
         _, lc = self.leading_term()
         if lc == 1:
             return self
-        return NcPolynomial(self.alg, {w: c / lc for w, c in self.terms.items()})
+        lc = Fraction(lc)
+        return NcPolynomial(self.alg, {w: as_coeff(c / lc) for w, c in self.terms.items()})
 
     def star(self) -> NcPolynomial:
         """Antilinear involution: reverse words; rational coefficients are fixed."""
-        terms: dict[bytes, Fraction] = {}
+        terms: dict[bytes, Coeff] = {}
         for w, c in self.terms.items():
-            terms[w[::-1]] = terms.get(w[::-1], ZERO) + c
+            terms[w[::-1]] = as_coeff(terms.get(w[::-1], ZERO) + c)
         return NcPolynomial(self.alg, {w: c for w, c in terms.items() if c})
 
     def map_labels(self, mapping: Mapping[int, int], target: Algebra) -> NcPolynomial:
         """Push the polynomial through a label renaming into a target algebra."""
-        terms: dict[bytes, Fraction] = {}
+        terms: dict[bytes, Coeff] = {}
         for w, c in self.terms.items():
             pairs = [(mapping[v.row], mapping[v.col]) for v in self.alg.letters(w)]
             nw = target.word(pairs)
-            acc = terms.get(nw, ZERO) + c
+            acc = as_coeff(terms.get(nw, ZERO) + c)
             if acc:
                 terms[nw] = acc
             else:
@@ -331,10 +356,18 @@ class NcPolynomial:
         return f"NcPolynomial({self.alg.format_poly(self)})"
 
 
-def poly_data(p: NcPolynomial) -> tuple[bytes, Fraction, tuple[tuple[bytes, Fraction], ...]]:
-    """(leading word, leading coeff, descending tail) as the kernel consumes it."""
+def poly_data(p: NcPolynomial) -> tuple[bytes, Coeff, tuple[tuple[bytes, Coeff], ...]]:
+    """(leading word, leading coeff, descending tail) as the kernel consumes it.
+
+    Kernel contract: the leading coefficient is 1 or a Fraction.  The kernel
+    divides by it (c / lc) whenever it is not 1, and int / int would give a
+    float, so any other integral leading coefficient is handed over as a
+    Fraction.
+    """
     items = p.sorted_terms()
     lt, lc = items[0]
+    if lc != 1:
+        lc = Fraction(lc)
     return (lt, lc, tuple(items[1:]))
 
 
@@ -361,11 +394,11 @@ def normal_remainder(
         data.append(poly_data(g))
         automaton.insert(data[-1][0])
     out = kernel.reduce_terms(p.terms, data, automaton, trace)
-    return NcPolynomial(p.alg, out)
+    return NcPolynomial(p.alg, normal_terms(out))
 
 
 def replay_trace(
-    trace: Iterable[tuple[Fraction, bytes, int, bytes]],
+    trace: Iterable[tuple[Coeff, bytes, int, bytes]],
     basis: list[NcPolynomial],
     remainder: NcPolynomial,
 ) -> NcPolynomial:
@@ -375,13 +408,9 @@ def replay_trace(
     for q, left, idx, right in trace:
         for w, c in basis[idx].terms.items():
             nw = left + w + right
-            acc = total.get(nw, ZERO) + q * c
+            acc = as_coeff(total.get(nw, ZERO) + q * c)
             if acc:
                 total[nw] = acc
             else:
                 total.pop(nw, None)
     return NcPolynomial(alg, total)
-
-
-def word_iter(word: bytes, alg: Algebra) -> Iterator[Variable]:
-    return iter(alg.letters(word))

@@ -65,6 +65,12 @@ def all_pair_obstructions(basis):
                 yield ob, f, g
 
 
+def assert_int_coefficients(polys) -> None:
+    """Every coefficient of these integral polynomials is an int, not a Fraction or float."""
+    for p in polys:
+        assert all(type(c) is int for c in p.terms.values()), p
+
+
 def assert_buchberger_criterion(gb: GroebnerBasis) -> None:
     """Every S-polynomial of every pair must reduce to zero against the basis."""
     for ob, f, g in all_pair_obstructions(gb.generators):
@@ -245,6 +251,7 @@ class TestBuchberger:
         ]
         assert keys == sorted(keys)
         assert all(g.leading_coeff() == 1 for g in u24_gb.generators)
+        assert_int_coefficients(u24_gb.generators)
 
 
 class TestBudgets:
@@ -444,6 +451,7 @@ class TestSerialization:
         assert loaded.status == u24_gb.status
         assert loaded.order == "degrevlex"
         assert set(loaded.generators) == set(u24_gb.generators)
+        assert_int_coefficients(loaded.generators)
 
     def test_header_line_format(self, u24_gb):
         buffer = io.StringIO()
@@ -481,6 +489,16 @@ class TestBasisInterface:
         remainder = u24_gb.reduce(u24_generators[0], trace)
         assert remainder.is_zero()
         assert len(trace) > 0
+
+    def test_remainders_keep_int_coefficients(self, u24_gb):
+        alg = u24_gb.algebra
+        u, v = alg.gen(1, 2), alg.gen(2, 1)
+        remainders = [
+            normal_remainder(p, u24_gb.generators)
+            for p in (u * v - v * u, u * v * u - 2 * v, u + v - alg.one())
+        ]
+        assert any(not r.is_zero() for r in remainders)
+        assert_int_coefficients(remainders)
 
     def test_build_reducer_covers_leading_words(self, u24_gb):
         automaton = build_reducer(u24_gb.generators)

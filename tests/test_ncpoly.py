@@ -39,6 +39,12 @@ def random_poly(alg, rng, max_terms=5, max_len=4):
     return alg.poly({w: c for w, c in terms.items() if c})
 
 
+def assert_coefficient_invariant(p):
+    """Integral coefficients are ints, all others Fractions; never a float."""
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
 class TestAlgebra:
     def test_var_ids_row_col_lexicographic(self, alg2):
         assert [alg2.var_id(i, j) for i in (1, 2) for j in (1, 2)] == [0, 1, 2, 3]
@@ -162,6 +168,32 @@ class TestArithmetic:
         assert p.degree() == 2
         assert p.monic().leading_coeff() == 1
         assert 3 * p.monic() == p
+        u = alg2.gen(1, 1)
+        half = (2 * u + 1).monic()
+        assert half.terms == {alg2.word([(1, 1)]): 1, b"": Fraction(1, 2)}
+        assert_coefficient_invariant(half)
+        assert_coefficient_invariant((-u + 3).monic())
+
+    @pytest.mark.parametrize(
+        "build, expected",
+        [
+            (lambda a: a.constant(Fraction(4, 2)), {b"": 2}),
+            (lambda a: a.constant(0.5), {b"": Fraction(1, 2)}),
+            (lambda a: a.monomial([(1, 2)], Fraction(6, 3)), {b"\x01": 2}),
+            (lambda a: a.poly({b"\x00": Fraction(3), b"": Fraction(1, 3)}),
+             {b"\x00": 3, b"": Fraction(1, 3)}),
+            (lambda a: a.parse_poly("4/2*u[1,1] - 1/2"), {b"\x00": 2, b"": Fraction(-1, 2)}),
+            (lambda a: Fraction(1, 2) * a.gen(1, 1) + Fraction(1, 2) * a.gen(1, 1), {b"\x00": 1}),
+            (lambda a: (Fraction(1, 2) * a.gen(1, 1)) * (4 * a.gen(1, 2)), {b"\x00\x01": 2}),
+            (lambda a: (a.gen(1, 1) * a.gen(1, 2) * Fraction(4, 2)).star(), {b"\x01\x00": 2}),
+            (lambda a: (Fraction(1, 2) * a.gen(1, 1) + Fraction(3, 2) * a.gen(2, 2)).map_labels(
+                {1: 1, 2: 1}, Algebra((1,))), {b"\x00": 2}),
+        ],
+    )
+    def test_integral_coefficients_are_ints(self, alg2, build, expected):
+        p = build(alg2)
+        assert p.terms == expected
+        assert_coefficient_invariant(p)
 
     def test_sorted_terms_descending(self, alg2):
         rng = random.Random(9)
@@ -246,6 +278,18 @@ class TestNormalRemainder:
             trace = []
             r = normal_remainder(p, gens, trace=trace)
             assert replay_trace(trace, gens, r) == p
+            assert_coefficient_invariant(r)
+
+    def test_non_monic_basis_divides_exactly(self, alg2):
+        # the kernel divides by a leading coefficient other than 1, which
+        # must be exact: int / int would give the float 2.0
+        u = alg2.gen(1, 1)
+        basis = [3 * u - 6]
+        trace = []
+        r = normal_remainder(u, basis, trace=trace)
+        assert r.terms == {b"": 2}
+        assert_coefficient_invariant(r)
+        assert replay_trace(trace, basis, r) == u
 
     def test_zero_remainder_certifies_membership(self, alg2):
         gens = qsym_ideal_generators(alg2)
@@ -270,3 +314,7 @@ class TestNormalRemainder:
         assert lt == alg2.word([(1, 1), (1, 1)])
         assert lc == 1
         assert tail == ((alg2.word([(1, 1)]), Fraction(-1)),)
+        assert type(lc) is int and type(tail[0][1]) is int
+        # kernel contract: a leading coefficient other than 1 is a Fraction
+        _, lc, _ = poly_data(3 * p)
+        assert type(lc) is Fraction and lc == 3
