@@ -4,6 +4,10 @@ The engine keeps a priority queue of obstructions keyed by the degree of the
 common multiple word (FIFO among equal degrees, which makes the selection
 fair), reduces S-polynomials to normal form against the current basis through
 an incrementally grown divisibility automaton, and appends nonzero remainders.
+Appending costs about the size of the new leading word, not of the basis: the
+automaton insert keeps every failure link exact, and prefix, suffix and factor
+indexes of the basis leading words name the only earlier elements whose
+obstructions with the new one can be nonempty.
 
 Budgets: a degree bound discards obstructions whose common word is longer
 (status TruncatedAtDegree), wall-clock and iteration budgets abort the run
@@ -190,6 +194,19 @@ def build_reducer(basis: Sequence[NcPolynomial]) -> kernel.Automaton:
     return automaton
 
 
+def _monic_data(alg: Algebra, terms: dict) -> tuple[NcPolynomial, tuple[bytes, Coeff, tuple]]:
+    """A nonzero kernel remainder made monic, with its poly_data, from one sort."""
+    terms = normal_terms(terms)
+    key = kernel.sort_key
+    items = sorted(terms.items(), key=lambda item: key(item[0]), reverse=True)
+    lt, lc = items[0]
+    if lc != 1:
+        lc = Fraction(lc)
+        terms = {w: as_coeff(c / lc) for w, c in terms.items()}
+        items = [(w, terms[w]) for w, _ in items]
+    return NcPolynomial(alg, terms), (lt, 1, tuple(items[1:]))
+
+
 class _Engine:
     def __init__(self, alg: Algebra, config: EngineConfig):
         self.alg = alg
@@ -197,6 +214,11 @@ class _Engine:
         self.polys: list[NcPolynomial] = []
         self.data: list[tuple[bytes, Coeff, tuple]] = []
         self.automaton = kernel.Automaton()
+        # proper prefixes, proper suffixes and proper factors of the basis
+        # leading words -> indices of the words that have them
+        self.prefixes: dict[bytes, list[int]] = {}
+        self.suffixes: dict[bytes, list[int]] = {}
+        self.factors: dict[bytes, list[int]] = {}
         self.queue: list = []
         self.seq = 0
         self.discarded = False
@@ -208,10 +230,34 @@ class _Engine:
     def out_of_time(self) -> bool:
         return self.deadline is not None and time.monotonic() > self.deadline
 
+    def partners(self, lt: bytes) -> list[int]:
+        """Ascending indices j whose leading word has an obstruction with lt.
+
+        Those are the words with a proper suffix that is a prefix of lt, with
+        a proper prefix that is a suffix of lt, or with lt as a proper factor.
+        lt is a normal form, so it contains no basis leading word and equals
+        none: overlap_obstructions(data[j][0], lt, False) is empty for every
+        other j.
+        """
+        found = set(self.factors.get(lt, ()))
+        for k in range(1, len(lt)):
+            found.update(self.suffixes.get(lt[:k], ()))
+            found.update(self.prefixes.get(lt[-k:], ()))
+        return sorted(found)
+
+    def index(self, lt: bytes, t: int) -> None:
+        """Record the affixes and factors of the leading word of basis element t."""
+        n = len(lt)
+        for k in range(1, n):
+            self.prefixes.setdefault(lt[:k], []).append(t)
+            self.suffixes.setdefault(lt[k:], []).append(t)
+        for f in {lt[i:i + m] for m in range(1, n) for i in range(n - m + 1)}:
+            self.factors.setdefault(f, []).append(t)
+
     def append(self, terms: dict) -> None:
         """Add a nonzero remainder from the kernel to the basis, made monic."""
-        p = NcPolynomial(self.alg, normal_terms(terms)).monic()
-        lt = p.leading_word()
+        p, data = _monic_data(self.alg, terms)
+        lt = data[0]
         if not lt:
             # a nonzero constant: the ideal is the whole ring
             self.polys = [self.alg.one()]
@@ -221,7 +267,9 @@ class _Engine:
             return
         t = len(self.polys)
         bound = self.config.degree_bound
-        for j in range(t + 1):
+        # same visiting order as a scan over every j, so the queue receives
+        # the same entries with the same sequence numbers
+        for j in (*self.partners(lt), t):
             same = j == t
             u = self.data[j][0] if not same else lt
             for lf, rf, lg, rg in kernel.overlap_obstructions(u, lt, same):
@@ -232,8 +280,9 @@ class _Engine:
                 heappush(self.queue, (deg, self.seq, (j, t, lf, rf, lg, rg)))
                 self.seq += 1
         self.polys.append(p)
-        self.data.append(poly_data(p))
+        self.data.append(data)
         self.automaton.insert(lt)
+        self.index(lt, t)
 
     def reduce(self, terms: dict) -> dict:
         return kernel.reduce_terms(terms, self.data, self.automaton, None)
@@ -256,7 +305,7 @@ def buchberger(generators: Iterable[NcPolynomial], config: EngineConfig) -> Groe
         if key not in seen:
             seen.add(key)
             ordered.append(g)
-    ordered.sort(key=lambda g: (len(g.leading_word()), kernel.sort_key(g.leading_word())))
+    ordered.sort(key=lambda g: kernel.sort_key(g.leading_word()))
 
     eng = _Engine(alg, config)
     status: GBStatus | None = None
@@ -313,7 +362,7 @@ def buchberger(generators: Iterable[NcPolynomial], config: EngineConfig) -> Groe
     basis = eng.polys
     if config.interreduce and not eng.unit:
         basis = interreduce(basis)
-    basis.sort(key=lambda g: (len(g.leading_word()), kernel.sort_key(g.leading_word())))
+    basis.sort(key=lambda g: kernel.sort_key(g.leading_word()))
     return GroebnerBasis(
         algebra=alg,
         generators=tuple(basis),
@@ -335,10 +384,15 @@ def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
     Phase one screens heads: elements are consumed in ascending leading-word
     order, fully reduced against the kept set, and accepting a new element
     evicts any kept element whose leading word it divides (evictions re-enter
-    the pending heap, so cascades settle).  Phase two reduces every tail
-    against the full kept set through one shared automaton; a kept leading
-    word can never occur inside its own tail, because any word containing it
-    would be at least as large in the admissible order.
+    the pending heap, so cascades settle).  Only a leading word that sorts
+    below the largest kept one can divide a kept word: a word containing it
+    is at least as large in the admissible order, and it equals no kept word
+    because it is reduced.  So the eviction scan, and the automaton rebuild
+    an eviction forces, are skipped otherwise; the automaton grows by
+    insertion.  Phase two reduces every tail against the full kept set
+    through one shared automaton; a kept leading word can never occur inside
+    its own tail, because any word containing it would be at least as large
+    in the admissible order.
     """
     pending = [p.monic() for p in polys if not p.is_zero()]
     if not pending:
@@ -347,12 +401,13 @@ def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
     heap = []
     for seq, p in enumerate(pending):
         lt = p.leading_word()
-        heap.append((len(lt), kernel.sort_key(lt), seq, p))
+        heap.append((kernel.sort_key(lt), seq, p))
     heapify(heap)
     seq = len(heap)
     kept: list[NcPolynomial] = []
     data: list[tuple] = []
     automaton = kernel.Automaton()
+    top = None  # sort key of the largest kept leading word
 
     def rebuild() -> None:
         nonlocal automaton
@@ -361,37 +416,37 @@ def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
             automaton.insert(d[0])
 
     while heap:
-        _, _, _, p = heappop(heap)
+        _, _, p = heappop(heap)
         rem_terms = kernel.reduce_terms(p.terms, data, automaton, None)
         if not rem_terms:
             continue
-        x = NcPolynomial(alg, normal_terms(rem_terms)).monic()
-        xlt = x.leading_word()
+        x, xdata = _monic_data(alg, rem_terms)
+        xlt = xdata[0]
         if not xlt:
             return [alg.one()]
+        xkey = kernel.sort_key(xlt)
         evicted = []
-        survivors_p = []
-        survivors_d = []
-        for g, d in zip(kept, data):
-            if xlt in d[0]:
-                evicted.append(g)
-            else:
-                survivors_p.append(g)
-                survivors_d.append(d)
-        kept = survivors_p
-        data = survivors_d
+        if top is not None and xkey < top:
+            hit = [i for i, d in enumerate(data) if xlt in d[0]]
+            if hit:
+                evicted = [kept[i] for i in hit]
+                gone = set(hit)
+                kept = [g for i, g in enumerate(kept) if i not in gone]
+                data = [d for i, d in enumerate(data) if i not in gone]
+                top = max((kernel.sort_key(d[0]) for d in data), default=None)
         kept.append(x)
-        data.append(poly_data(x))
+        data.append(xdata)
+        if top is None or xkey > top:
+            top = xkey
         if evicted:
             rebuild()
         else:
             automaton.insert(xlt)
         for g in evicted:
-            lt = g.leading_word()
-            heappush(heap, (len(lt), kernel.sort_key(lt), seq, g))
+            heappush(heap, (kernel.sort_key(g.leading_word()), seq, g))
             seq += 1
 
-    order = sorted(range(len(kept)), key=lambda i: (len(data[i][0]), kernel.sort_key(data[i][0])))
+    order = sorted(range(len(kept)), key=lambda i: kernel.sort_key(data[i][0]))
     kept = [kept[i] for i in order]
     data = [data[i] for i in order]
     rebuild()

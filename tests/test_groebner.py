@@ -320,6 +320,51 @@ class TestQueueFairness:
             assert all(a <= b for a, b in zip(popped, popped[1:]))
 
 
+class TestPartnerIndex:
+    """The engine pairs a new leading word only with indexed partners."""
+
+    @staticmethod
+    def entries(words, js, lt):
+        return [(j, ob) for j in js for ob in kernel.overlap_obstructions(words[j], lt, False)]
+
+    def test_indexed_partners_equal_full_scan(self, alg2):
+        import random
+
+        rng = random.Random(73)
+        for _ in range(60):
+            eng = groebner_module._Engine(alg2, EngineConfig(unbounded=True))
+            letters = rng.randrange(2, 5)
+            words: list[bytes] = []
+            for _ in range(200):
+                lt = bytes(rng.randrange(letters) for _ in range(rng.randrange(1, 7)))
+                # a basis leading word is a normal form: it contains no earlier one
+                if any(w in lt for w in words):
+                    continue
+                partners = eng.partners(lt)
+                assert partners == sorted(set(partners))
+                full = self.entries(words, range(len(words)), lt)
+                assert self.entries(words, partners, lt) == full
+                # and no partner is visited for nothing
+                assert len(partners) == len({j for j, _ in full})
+                eng.index(lt, len(words))
+                words.append(lt)
+
+    def test_run_matches_full_scan_engine(self, monkeypatch, alg3, u24_generators):
+        for gens, bound in ((qsym_ideal_generators(alg3), None), (u24_generators, 4)):
+            config = EngineConfig(degree_bound=bound, time_budget=120.0, interreduce=False)
+            filtered = buchberger(gens, config)
+            with monkeypatch.context() as m:
+                m.setattr(
+                    groebner_module._Engine,
+                    "partners",
+                    lambda self, lt: list(range(len(self.polys))),
+                )
+                full = buchberger(gens, config)
+            assert filtered.generators == full.generators
+            assert filtered.status == full.status
+            assert filtered.iterations == full.iterations
+
+
 class TestCompleteness:
     def test_magic_unitary_bases_pass_exhaustive_reverification(self, alg2, alg3):
         for alg in (alg2, alg3):
@@ -355,6 +400,23 @@ class TestInterreduce:
         # the cube reduces to a single letter, which then evicts the square
         u11 = alg2.gen(1, 1)
         assert interreduce([u11 * u11 - u11, u11 * u11 * u11]) == [u11]
+
+    def test_eviction_of_an_earlier_kept_word(self, monkeypatch, alg3):
+        # u11*u12*u13 + u12 reduces to u12, whose word divides the kept
+        # u11*u12 (but not u13*u13): the eviction scan runs and the automaton
+        # is rebuilt once beyond the initial and the phase-two automata
+        built = []
+
+        class Spy(kernel.Automaton):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(kernel, "Automaton", Spy)
+        a, b, c = alg3.gen(1, 1), alg3.gen(1, 2), alg3.gen(1, 3)
+        reduced = interreduce([a * b, c * c, a * b * c + b])
+        assert reduced == [b, c * c]
+        assert len(built) == 3
 
     def test_no_leading_word_divides_another(self, alg3):
         reduced = interreduce(list(qsym_ideal_generators(alg3)))
