@@ -3,11 +3,12 @@
 The engine keeps a priority queue of obstructions keyed by the degree of the
 common multiple word (FIFO among equal degrees, which makes the selection
 fair), reduces S-polynomials to normal form against the current basis through
-an incrementally grown divisibility automaton, and appends nonzero remainders.
-Appending costs about the size of the new leading word, not of the basis: the
-automaton insert keeps every failure link exact, and prefix, suffix and factor
-indexes of the basis leading words name the only earlier elements whose
-obstructions with the new one can be nonempty.
+one kernel.Reducer, and appends nonzero remainders.  Appending costs about the
+size of the new leading word, not of the basis: the reducer's automaton insert
+keeps every failure link exact, and prefix, suffix and factor indexes of the
+basis leading words name the only earlier elements whose obstructions with
+the new one can be nonempty.  The finished basis is interreduced, which makes
+it the reduced basis the .gb files record (Mora, TCS 134, 1994).
 
 Budgets: a degree bound discards obstructions whose common word is longer
 (status TruncatedAtDegree), wall-clock and iteration budgets abort the run
@@ -19,7 +20,7 @@ claims need the Complete status.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
@@ -32,6 +33,7 @@ from .ncpoly import (
     VariableUniverseMismatch,
     ZeroPolynomial,
     as_coeff,
+    normal_remainder,
     normal_terms,
     poly_data,
 )
@@ -102,7 +104,6 @@ class EngineConfig:
     degree_bound: int | None = None
     max_iterations: int | None = None
     time_budget: float | None = None
-    interreduce: bool = True
     unbounded: bool = False
 
     def __post_init__(self) -> None:
@@ -119,12 +120,6 @@ class EngineConfig:
         if self.degree_bound is not None and self.degree_bound < 1:
             raise ValueError("degree bound must be positive")
 
-    @classmethod
-    def default_for(cls, generators: Sequence[NcPolynomial]) -> EngineConfig:
-        """Test-scale default: degree bound 2 * max generator degree, 10 minutes."""
-        maxdeg = max((g.degree() for g in generators if not g.is_zero()), default=1)
-        return cls(degree_bound=2 * maxdeg, time_budget=600.0)
-
 
 @dataclass(frozen=True)
 class GroebnerBasis:
@@ -137,17 +132,11 @@ class GroebnerBasis:
 
     @property
     def max_degree(self) -> int:
-        return gb_degree(self)
+        """Largest generator degree; the appendix tables call this d_B."""
+        return max(g.degree() for g in self.generators)
 
     def reduce(self, p: NcPolynomial, trace: list | None = None) -> NcPolynomial:
-        from .ncpoly import normal_remainder
-
         return normal_remainder(p, self.generators, trace)
-
-
-def gb_degree(gb: GroebnerBasis) -> int:
-    """Largest generator degree; the appendix tables call this d_B."""
-    return max(g.degree() for g in gb.generators)
 
 
 def find_obstructions(f: NcPolynomial, g: NcPolynomial) -> list[Obstruction]:
@@ -186,14 +175,6 @@ def _shift(p: NcPolynomial, left: bytes, right: bytes, denom: Coeff) -> dict[byt
     return {left + w + right: as_coeff(c / denom) for w, c in p.terms.items()}
 
 
-def build_reducer(basis: Sequence[NcPolynomial]) -> kernel.Automaton:
-    """Divisibility automaton over the leading words of a basis."""
-    automaton = kernel.Automaton()
-    for g in basis:
-        automaton.insert(g.leading_word())
-    return automaton
-
-
 def _monic_data(alg: Algebra, terms: dict) -> tuple[NcPolynomial, tuple[bytes, Coeff, tuple]]:
     """A nonzero kernel remainder made monic, with its poly_data, from one sort."""
     terms = normal_terms(terms)
@@ -212,8 +193,7 @@ class _Engine:
         self.alg = alg
         self.config = config
         self.polys: list[NcPolynomial] = []
-        self.data: list[tuple[bytes, Coeff, tuple]] = []
-        self.automaton = kernel.Automaton()
+        self.reducer = kernel.Reducer()
         # proper prefixes, proper suffixes and proper factors of the basis
         # leading words -> indices of the words that have them
         self.prefixes: dict[bytes, list[int]] = {}
@@ -236,8 +216,8 @@ class _Engine:
         Those are the words with a proper suffix that is a prefix of lt, with
         a proper prefix that is a suffix of lt, or with lt as a proper factor.
         lt is a normal form, so it contains no basis leading word and equals
-        none: overlap_obstructions(data[j][0], lt, False) is empty for every
-        other j.
+        none: overlap_obstructions(reducer.data[j][0], lt, False) is empty for
+        every other j.
         """
         found = set(self.factors.get(lt, ()))
         for k in range(1, len(lt)):
@@ -259,9 +239,8 @@ class _Engine:
         p, data = _monic_data(self.alg, terms)
         lt = data[0]
         if not lt:
-            # a nonzero constant: the ideal is the whole ring
-            self.polys = [self.alg.one()]
-            self.data = [poly_data(self.polys[0])]
+            # a nonzero constant: the ideal is the whole ring, buchberger
+            # returns [1], and the basis and its reducer stay as they were
             self.queue = []
             self.unit = True
             return
@@ -271,7 +250,7 @@ class _Engine:
         # the same entries with the same sequence numbers
         for j in (*self.partners(lt), t):
             same = j == t
-            u = self.data[j][0] if not same else lt
+            u = self.reducer.data[j][0] if not same else lt
             for lf, rf, lg, rg in kernel.overlap_obstructions(u, lt, same):
                 deg = len(lf) + len(u) + len(rf)
                 if bound is not None and deg > bound:
@@ -280,12 +259,8 @@ class _Engine:
                 heappush(self.queue, (deg, self.seq, (j, t, lf, rf, lg, rg)))
                 self.seq += 1
         self.polys.append(p)
-        self.data.append(data)
-        self.automaton.insert(lt)
+        self.reducer.append(data)
         self.index(lt, t)
-
-    def reduce(self, terms: dict) -> dict:
-        return kernel.reduce_terms(terms, self.data, self.automaton, None)
 
 
 def buchberger(generators: Iterable[NcPolynomial], config: EngineConfig) -> GroebnerBasis:
@@ -314,7 +289,7 @@ def buchberger(generators: Iterable[NcPolynomial], config: EngineConfig) -> Groe
         if eng.out_of_time():
             status = GBStatus.aborted("time")
             break
-        rem = eng.reduce(g.terms)
+        rem = eng.reducer.reduce(g.terms)
         if rem:
             eng.append(rem)
             if eng.unit:
@@ -330,8 +305,8 @@ def buchberger(generators: Iterable[NcPolynomial], config: EngineConfig) -> Groe
             break
         deg, _, (j, t, lf, rf, lg, rg) = heappop(eng.queue)
         eng.iterations += 1
-        f = eng.data[j]
-        g = eng.data[t]
+        f = eng.reducer.data[j]
+        g = eng.reducer.data[t]
         terms: dict[bytes, Coeff] = {}
         for w, c in _iter_terms(f):
             nw = lf + w + rf
@@ -349,7 +324,7 @@ def buchberger(generators: Iterable[NcPolynomial], config: EngineConfig) -> Groe
                 terms.pop(nw, None)
         if not terms:
             continue
-        rem = eng.reduce(terms)
+        rem = eng.reducer.reduce(terms)
         if rem:
             eng.append(rem)
             if eng.unit:
@@ -359,10 +334,7 @@ def buchberger(generators: Iterable[NcPolynomial], config: EngineConfig) -> Groe
     if status is None:
         status = GBStatus.truncated(config.degree_bound) if eng.discarded else GBStatus.complete()
 
-    basis = eng.polys
-    if config.interreduce and not eng.unit:
-        basis = interreduce(basis)
-    basis.sort(key=lambda g: kernel.sort_key(g.leading_word()))
+    basis = [alg.one()] if eng.unit else interreduce(eng.polys)
     return GroebnerBasis(
         algebra=alg,
         generators=tuple(basis),
@@ -381,18 +353,30 @@ def _iter_terms(data: tuple[bytes, Coeff, tuple]) -> Iterable[tuple[bytes, Coeff
 def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
     """Fully interreduce: monic output, no generator reducible by the others.
 
-    Phase one screens heads: elements are consumed in ascending leading-word
-    order, fully reduced against the kept set, and accepting a new element
-    evicts any kept element whose leading word it divides (evictions re-enter
-    the pending heap, so cascades settle).  Only a leading word that sorts
-    below the largest kept one can divide a kept word: a word containing it
-    is at least as large in the admissible order, and it equals no kept word
-    because it is reduced.  So the eviction scan, and the automaton rebuild
-    an eviction forces, are skipped otherwise; the automaton grows by
-    insertion.  Phase two reduces every tail against the full kept set
-    through one shared automaton; a kept leading word can never occur inside
-    its own tail, because any word containing it would be at least as large
-    in the admissible order.
+    The output is in ascending leading-word order.  Phase one screens heads:
+    elements are consumed in ascending leading-word order, fully reduced
+    against the kept set, and accepting a new element evicts any kept element
+    whose leading word it divides (evictions re-enter the pending heap, so
+    cascades settle).  Only a leading word that sorts below the largest kept
+    one can divide a kept word: a word containing it is at least as large in
+    the admissible order, and it equals no kept word because it is reduced.
+    So the eviction scan is skipped otherwise; an eviction starts a fresh
+    reducer over the elements that remain.
+
+    Phase two reduces every tail, in ascending leading-word order, through
+    phase one's reducer, each reduced element replacing its entry as it is
+    done.  The reducer's patterns are in acceptance order, not sorted, and
+    that cannot change a match: the kept leading words form a divisibility
+    antichain, so at most one of them ends at any position of a word, and
+    the earliest-ending match names the same element in any pattern order.
+    A kept leading word never occurs inside its own tail, because any word
+    containing it is at least as large in the admissible order.
+
+    Phase two stays a second pass.  A single pass that puts back on the
+    queue every kept element whose tail contains a newly kept, smaller
+    leading word takes other reduction paths, and on a set that is not a
+    Groebner basis normal forms depend on the path: its output differs on
+    some such inputs (TestInterreduce pins one).
     """
     pending = [p.monic() for p in polys if not p.is_zero()]
     if not pending:
@@ -405,19 +389,12 @@ def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
     heapify(heap)
     seq = len(heap)
     kept: list[NcPolynomial] = []
-    data: list[tuple] = []
-    automaton = kernel.Automaton()
+    reducer = kernel.Reducer()
     top = None  # sort key of the largest kept leading word
-
-    def rebuild() -> None:
-        nonlocal automaton
-        automaton = kernel.Automaton()
-        for d in data:
-            automaton.insert(d[0])
 
     while heap:
         _, _, p = heappop(heap)
-        rem_terms = kernel.reduce_terms(p.terms, data, automaton, None)
+        rem_terms = reducer.reduce(p.terms)
         if not rem_terms:
             continue
         x, xdata = _monic_data(alg, rem_terms)
@@ -427,38 +404,33 @@ def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
         xkey = kernel.sort_key(xlt)
         evicted = []
         if top is not None and xkey < top:
+            data = reducer.data
             hit = [i for i, d in enumerate(data) if xlt in d[0]]
             if hit:
                 evicted = [kept[i] for i in hit]
                 gone = set(hit)
                 kept = [g for i, g in enumerate(kept) if i not in gone]
-                data = [d for i, d in enumerate(data) if i not in gone]
-                top = max((kernel.sort_key(d[0]) for d in data), default=None)
+                reducer = kernel.Reducer(d for i, d in enumerate(data) if i not in gone)
+                top = max((kernel.sort_key(d[0]) for d in reducer.data), default=None)
         kept.append(x)
-        data.append(xdata)
+        reducer.append(xdata)
         if top is None or xkey > top:
             top = xkey
-        if evicted:
-            rebuild()
-        else:
-            automaton.insert(xlt)
         for g in evicted:
             heappush(heap, (kernel.sort_key(g.leading_word()), seq, g))
             seq += 1
 
+    data = reducer.data
     order = sorted(range(len(kept)), key=lambda i: kernel.sort_key(data[i][0]))
-    kept = [kept[i] for i in order]
-    data = [data[i] for i in order]
-    rebuild()
-    for i in range(len(kept)):
+    for i in order:
         lt, lc, tail = data[i]
-        reduced_tail = kernel.reduce_terms(dict(tail), data, automaton, None)
-        terms = normal_terms(reduced_tail)
+        terms = normal_terms(reducer.reduce(dict(tail)))
         terms[lt] = lc
         p = NcPolynomial(alg, terms)
         kept[i] = p
+        # same leading word, so the reducer's automaton stays in step
         data[i] = poly_data(p)
-    return kept
+    return [kept[i] for i in order]
 
 
 def stabilized_buchberger(
@@ -471,18 +443,8 @@ def stabilized_buchberger(
     """
     if degree_bound < 2:
         raise ValueError("stabilization needs a degree bound of at least 2")
-    low = EngineConfig(
-        degree_bound=degree_bound - 1,
-        max_iterations=config.max_iterations,
-        time_budget=config.time_budget,
-        interreduce=True,
-    )
-    high = EngineConfig(
-        degree_bound=2 * degree_bound - 2,
-        max_iterations=config.max_iterations,
-        time_budget=config.time_budget,
-        interreduce=True,
-    )
+    low = replace(config, degree_bound=degree_bound - 1)
+    high = replace(config, degree_bound=2 * degree_bound - 2)
     gb_low = buchberger(generators, low)
     gb_high = buchberger(generators, high)
     if gb_low.status.kind == "aborted" or gb_high.status.kind == "aborted":

@@ -1,4 +1,4 @@
-"""Kernel: word order, divisibility automaton, reduction loop, overlap scan.
+"""Kernel: word order, divisibility automaton, reducer, overlap scan.
 
 Words over the free algebra are bytes; each byte is a variable id.
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from typing import Iterable
 
 BACKEND = "python"
 
@@ -56,17 +57,13 @@ class Automaton:
         self._out: list[int] = [-1]
         # word -> nodes whose word has it as a proper, nonempty suffix
         self._suffixed: dict[bytes, list[int]] = {}
-        self._lens: list[int] = []
+        self._count = 0
         if patterns:
             for p in patterns:
                 self.insert(p)
 
     def __len__(self) -> int:
-        return len(self._lens)
-
-    @property
-    def pattern_lengths(self) -> list[int]:
-        return list(self._lens)
+        return self._count
 
     def insert(self, pattern: bytes) -> int:
         if not pattern:
@@ -107,8 +104,8 @@ class Automaton:
                     if depth[fail[x]] < k:
                         fail[x] = nxt
             node = nxt
-        idx = len(self._lens)
-        self._lens.append(len(pattern))
+        idx = self._count
+        self._count += 1
         # the new index is the largest, so only nodes without an output change
         if out[node] == -1:
             out[node] = idx
@@ -133,6 +130,32 @@ class Automaton:
         return (-1, -1)
 
 
+class Reducer:
+    """A basis in kernel form and its matching automaton, kept in step.
+
+    data[i] = (leading word, leading coeff, descending tail terms), and
+    automaton pattern i is data[i][0]: append is the only way in, so the
+    reduce_terms contract holds for every reduce.  An entry may be replaced
+    in place by one with the same leading word.
+    """
+
+    def __init__(self, data: Iterable[tuple[bytes, Fraction, tuple]] = ()):
+        self.data: list[tuple[bytes, Fraction, tuple]] = []
+        self.automaton = Automaton()
+        for d in data:
+            self.append(d)
+
+    def append(self, d: tuple[bytes, Fraction, tuple]) -> None:
+        self.automaton.insert(d[0])
+        self.data.append(d)
+
+    def reduce(
+        self, terms: dict[bytes, Fraction], trace: list | None = None
+    ) -> dict[bytes, Fraction]:
+        """Normal form of a term dict; see reduce_terms."""
+        return reduce_terms(terms, self.data, self.automaton, trace)
+
+
 def reduce_terms(
     terms: dict[bytes, Fraction],
     basis: list[tuple[bytes, Fraction, tuple[tuple[bytes, Fraction], ...]]],
@@ -141,18 +164,19 @@ def reduce_terms(
 ) -> dict[bytes, Fraction]:
     """Two-sided normal form of a term dict against basis with matching automaton.
 
-    basis[i] = (leading word, leading coeff, tail terms); automaton pattern i
-    must be basis[i]'s leading word.  Terms are processed in descending word
-    order; a term whose word contains some leading word is rewritten through
-    the earliest-ending match, others move to the output.  When trace is a
-    list, (cofactor, left, index, right) quadruples are appended such that
+    Contract: basis[i] = (leading word, leading coeff, tail terms) and
+    automaton pattern i is basis[i]'s leading word, so a match of pattern i
+    is len(basis[i][0]) letters long.  Reducer keeps this for its callers.
+    Terms are processed in descending word order; a term whose word contains
+    some leading word is rewritten through the earliest-ending match, others
+    move to the output.  When trace is a list, (cofactor, left, index, right)
+    quadruples are appended such that
     input = sum of cofactor * left * basis[index] * right + output.
     """
     work = dict(terms)
     heap = [(-len(w), w[::-1], w) for w in work]
     heapify(heap)
     out: dict[bytes, Fraction] = {}
-    lens = automaton.pattern_lengths
     while heap:
         _, _, w = heappop(heap)
         c = work.pop(w, None)
@@ -162,8 +186,8 @@ def reduce_terms(
         if idx < 0:
             out[w] = c
             continue
-        _, lc, tail = basis[idx]
-        start = end + 1 - lens[idx]
+        lt, lc, tail = basis[idx]
+        start = end + 1 - len(lt)
         a = w[:start]
         b = w[end + 1 :]
         q = c if lc == 1 else c / lc

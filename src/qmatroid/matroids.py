@@ -335,23 +335,9 @@ def new_matroid(elements: Iterable[int], bases: Iterable[Iterable[int]]) -> Matr
         raise RejectedNotEqualCardinality(f"bases have mixed cardinalities {sorted(sizes)}")
     rank = sizes.pop()
     fmasks = frozenset(masks)
-    for am in fmasks:
-        for bm in fmasks:
-            diff = am & ~bm
-            while diff:
-                abit = diff & -diff
-                diff &= diff - 1
-                stripped = am & ~abit
-                cand = bm & ~am
-                found = False
-                while cand:
-                    bbit = cand & -cand
-                    cand &= cand - 1
-                    if (stripped | bbit) in fmasks:
-                        found = True
-                        break
-                if not found:
-                    raise RejectedExchangeAxiom(_fset(am), _fset(bm), abit.bit_length())
+    violation = _exchange_violation(fmasks)
+    if violation is not None:
+        raise RejectedExchangeAxiom(*violation)
     return Matroid(ground, fmasks, rank)
 
 
@@ -503,7 +489,7 @@ def enumerate_matroids(n: int, r: int, up_to_iso: bool = False) -> list[Matroid]
     found: list[Matroid] = []
     for selector in range(1, 1 << len(combos)):
         fam = frozenset(combos[i] for i in range(len(combos)) if (selector >> i) & 1)
-        if _passes_exchange(fam):
+        if _exchange_violation(fam) is None:
             found.append(Matroid(GroundSet(tuple(range(1, n + 1))), fam, r))
     if not up_to_iso:
         return found
@@ -523,7 +509,14 @@ def enumerate_all_matroids(n: int, up_to_iso: bool = False) -> list[Matroid]:
     return out
 
 
-def _passes_exchange(masks: frozenset[int]) -> bool:
+def _exchange_violation(
+    masks: frozenset[int],
+) -> tuple[frozenset[int], frozenset[int], int] | None:
+    """First violation (A, B, a) of basis exchange, or None when it holds.
+
+    a is in A - B and no b in B - A makes A - a + b a basis.  The search runs
+    in iteration order over masks, so the violation reported is deterministic.
+    """
     for am in masks:
         for bm in masks:
             diff = am & ~bm
@@ -532,13 +525,11 @@ def _passes_exchange(masks: frozenset[int]) -> bool:
                 diff &= diff - 1
                 stripped = am & ~abit
                 cand = bm & ~am
-                ok = False
                 while cand:
                     bbit = cand & -cand
                     cand &= cand - 1
                     if (stripped | bbit) in masks:
-                        ok = True
                         break
-                if not ok:
-                    return False
-    return True
+                else:
+                    return _fset(am), _fset(bm), abit.bit_length()
+    return None

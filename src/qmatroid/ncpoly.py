@@ -383,17 +383,14 @@ def normal_remainder(
     When trace is a list it receives (cofactor, left, index, right) entries
     with p = sum(cofactor * left * basis[index] * right) + remainder.
     """
-    basis = list(basis)
-    data = []
-    automaton = kernel.Automaton()
+    reducer = kernel.Reducer()
     for g in basis:
         if g.alg != p.alg:
             raise VariableUniverseMismatch("basis polynomial in a different algebra")
         if g.is_zero():
             raise ZeroPolynomial("zero polynomial in reduction basis")
-        data.append(poly_data(g))
-        automaton.insert(data[-1][0])
-    out = kernel.reduce_terms(p.terms, data, automaton, trace)
+        reducer.append(poly_data(g))
+    out = reducer.reduce(p.terms, trace)
     return NcPolynomial(p.alg, normal_terms(out))
 
 

@@ -15,9 +15,7 @@ from qmatroid.groebner import (
     GroebnerBasis,
     InvalidObstruction,
     buchberger,
-    build_reducer,
     find_obstructions,
-    gb_degree,
     interreduce,
     read_gb,
     s_polynomial,
@@ -179,12 +177,6 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(degree_bound=bad)
 
-    def test_default_budget_scales_with_generator_degree(self, alg2):
-        gens = qsym_ideal_generators(alg2)  # max degree 2
-        config = EngineConfig.default_for(gens)
-        assert config.degree_bound == 4
-        assert config.time_budget == 600.0
-
 
 class TestBuchberger:
     def test_single_idempotent_completes(self, alg2):
@@ -210,6 +202,14 @@ class TestBuchberger:
         gb = buchberger([u11, u11 - alg2.one()], EngineConfig(time_budget=30.0))
         assert gb.status.is_complete
         assert gb.generators == (alg2.one(),)
+
+    def test_unit_remainder_leaves_basis_and_reducer_in_step(self, alg2):
+        eng = groebner_module._Engine(alg2, EngineConfig(unbounded=True))
+        eng.append(alg2.gen(1, 1).terms)
+        eng.append(alg2.constant(3).terms)
+        assert eng.unit and not eng.queue
+        assert [p.leading_word() for p in eng.polys] == [d[0] for d in eng.reducer.data]
+        assert len(eng.reducer.automaton) == len(eng.polys) == 1
 
     def test_duplicate_generators_are_dropped(self, alg2):
         u11 = alg2.gen(1, 1)
@@ -311,9 +311,9 @@ class TestQueueFairness:
                 return item
 
             monkeypatch.setattr(groebner_module, "heappop", spy)
-            gb = buchberger(
-                gens, EngineConfig(time_budget=120.0, interreduce=False)
-            )
+            # the raw engine basis: interreduction pops no obstructions
+            monkeypatch.setattr(groebner_module, "interreduce", list)
+            gb = buchberger(gens, EngineConfig(time_budget=120.0))
             monkeypatch.undo()
             assert gb.status.is_complete
             assert len(popped) > 0
@@ -350,8 +350,10 @@ class TestPartnerIndex:
                 words.append(lt)
 
     def test_run_matches_full_scan_engine(self, monkeypatch, alg3, u24_generators):
+        # compare the raw engine bases, before interreduction
+        monkeypatch.setattr(groebner_module, "interreduce", list)
         for gens, bound in ((qsym_ideal_generators(alg3), None), (u24_generators, 4)):
-            config = EngineConfig(degree_bound=bound, time_budget=120.0, interreduce=False)
+            config = EngineConfig(degree_bound=bound, time_budget=120.0)
             filtered = buchberger(gens, config)
             with monkeypatch.context() as m:
                 m.setattr(
@@ -403,8 +405,8 @@ class TestInterreduce:
 
     def test_eviction_of_an_earlier_kept_word(self, monkeypatch, alg3):
         # u11*u12*u13 + u12 reduces to u12, whose word divides the kept
-        # u11*u12 (but not u13*u13): the eviction scan runs and the automaton
-        # is rebuilt once beyond the initial and the phase-two automata
+        # u11*u12 (but not u13*u13): the eviction scan runs and starts one
+        # reducer beyond the initial one, which phase two reuses
         built = []
 
         class Spy(kernel.Automaton):
@@ -416,7 +418,27 @@ class TestInterreduce:
         a, b, c = alg3.gen(1, 1), alg3.gen(1, 2), alg3.gen(1, 3)
         reduced = interreduce([a * b, c * c, a * b * c + b])
         assert reduced == [b, c * c]
-        assert len(built) == 3
+        assert len(built) == 2
+
+    def test_non_groebner_input_keeps_two_phase_output(self, alg2):
+        # not a Groebner basis, so normal forms depend on the reduction path:
+        # a single pass that requeues kept elements whose tails hold a newly
+        # kept leading word loses tail terms of the third element
+        given = [
+            "2*u[1,1]*u[2,2]*u[2,2]*u[2,1]*u[2,1] - 5*u[1,2]*u[2,2]*u[1,1]*u[2,1]"
+            " + u[2,1]*u[2,1]*u[2,2]*u[2,2] + 2*u[1,2]",
+            "2*u[2,1]*u[2,2] - 5*u[2,2]*u[2,2] - u[2,1] + 1",
+            "u[2,1]*u[2,2] - 5",
+        ]
+        expected = [
+            "u[2,2]*u[2,2] + 1/5*u[2,1] - 11/5",
+            "u[2,1]*u[2,2] - 5",
+            "u[1,2]*u[2,2]*u[1,1]*u[2,1] + 2/25*u[1,1]*u[2,1]*u[2,1]*u[2,1]"
+            " - 22/25*u[1,1]*u[2,1]*u[2,1] - 1/20*u[2,1]*u[2,1] - 2/5*u[1,2]"
+            " + 11/20*u[2,1] - 5/4*u[2,2] - 5",
+        ]
+        reduced = interreduce([alg2.parse_poly(s) for s in given])
+        assert [alg2.format_poly(p) for p in reduced] == expected
 
     def test_no_leading_word_divides_another(self, alg3):
         reduced = interreduce(list(qsym_ideal_generators(alg3)))
@@ -543,9 +565,6 @@ class TestSerialization:
 
 
 class TestBasisInterface:
-    def test_max_degree_matches_helper(self, u24_gb):
-        assert u24_gb.max_degree == gb_degree(u24_gb)
-
     def test_reduce_accepts_trace(self, u24_gb, u24_generators):
         trace: list = []
         remainder = u24_gb.reduce(u24_generators[0], trace)
@@ -561,9 +580,3 @@ class TestBasisInterface:
         ]
         assert any(not r.is_zero() for r in remainders)
         assert_int_coefficients(remainders)
-
-    def test_build_reducer_covers_leading_words(self, u24_gb):
-        automaton = build_reducer(u24_gb.generators)
-        assert len(automaton) == len(
-            {g.leading_word() for g in u24_gb.generators}
-        )

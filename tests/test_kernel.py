@@ -95,13 +95,11 @@ class TestAutomaton:
         with pytest.raises(ValueError):
             mod.Automaton([b""])
 
-    def test_pattern_lengths_and_len(self, mod):
+    def test_len_counts_patterns(self, mod):
         auto = mod.Automaton([b"ab", b"c"])
         assert len(auto) == 2
-        assert auto.pattern_lengths == [2, 1]
         auto.insert(b"abcd")
         assert len(auto) == 3
-        assert auto.pattern_lengths == [2, 1, 4]
 
     def test_earliest_end_lowest_index(self, mod):
         # both patterns end at position 2; index 0 wins
@@ -249,6 +247,22 @@ class TestReduceTerms:
                     nw = left + v + right
                     rebuilt[nw] = rebuilt.get(nw, 0) + q * c
             assert {w: c for w, c in rebuilt.items() if c} == terms
+
+
+class TestReducer:
+    def test_append_keeps_patterns_in_step(self):
+        data = [
+            (b"ab", Fraction(1), ((b"a", Fraction(-1)),)),
+            (b"c", Fraction(2), ()),
+        ]
+        reducer = kernel.Reducer(data[:1])
+        reducer.append(data[1])
+        assert reducer.data == data
+        assert len(reducer.automaton) == 2
+        for text in (b"cab", b"abab", b"ba", b""):
+            end, idx = reducer.automaton.first_match(text)
+            expected = naive_first_match([d[0] for d in data], text)
+            assert (end, idx) == expected
 
 
 @backends

@@ -81,9 +81,20 @@ class TestConstruction:
             new_matroid([1, 2, 3], [[1, 2], [3]])
 
     def test_exchange_violation_rejected(self):
-        # {1,2} and {3,4} with no mixed pair fails exchange
-        with pytest.raises(RejectedExchangeAxiom):
-            new_matroid([1, 2, 3, 4], [[1, 2], [3, 4]])
+        # {1,2} and {3,4} with no mixed pair fails exchange; so do the others
+        for family in (
+            [[1, 2], [3, 4]],
+            [[1, 2], [1, 3], [2, 4]],
+            [[1, 2, 3], [1, 2, 4], [3, 4, 5]],
+        ):
+            bases = {frozenset(b) for b in family}
+            with pytest.raises(RejectedExchangeAxiom) as info:
+                new_matroid([1, 2, 3, 4, 5], family)
+            a, b, x = info.value.a_set, info.value.b_set, info.value.element
+            # the reported triple is a real violation
+            assert a in bases and b in bases
+            assert x in a - b
+            assert all((a - {x}) | {y} not in bases for y in b - a)
 
     def test_no_bases_rejected(self):
         with pytest.raises(MatroidError):
