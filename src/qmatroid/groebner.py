@@ -10,6 +10,16 @@ basis leading words name the only earlier elements whose obstructions with
 the new one can be nonempty.  The finished basis is interreduced, which makes
 it the reduced basis the .gb files record (Mora, TCS 134, 1994).
 
+The feed skips a monomial input whose word contains the word of a monomial
+already known to lie in the ideal: an earlier monomial input, or a basis
+element with no tail.  A second automaton over those words finds such a
+factor in one scan.  A skipped input lies in the ideal of what was fed, and
+the reduced basis depends only on the ideal, so complete runs return the same
+basis.  Degree-bounded runs screen only inputs within the bound (see
+_Engine.screened); their bases then matched the unscreened engine on every
+ideal tried, and a run can only turn from truncated to complete, when skipped
+inputs were all that left obstructions beyond the bound.
+
 Budgets: a degree bound discards obstructions whose common word is longer
 (status TruncatedAtDegree), wall-clock and iteration budgets abort the run
 with the partial basis (status Aborted).  A truncated or aborted basis still
@@ -22,6 +32,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
@@ -135,8 +146,18 @@ class GroebnerBasis:
         """Largest generator degree; the appendix tables call this d_B."""
         return max(g.degree() for g in self.generators)
 
+    @cached_property
+    def reducer(self) -> kernel.Reducer:
+        """The generators in kernel form, built on first use and then shared.
+
+        Pattern i is generator i, so reduction traces index self.generators.
+        """
+        return kernel.Reducer(poly_data(g) for g in self.generators)
+
     def reduce(self, p: NcPolynomial, trace: list | None = None) -> NcPolynomial:
-        return normal_remainder(p, self.generators, trace)
+        if p.alg != self.algebra:
+            raise VariableUniverseMismatch("polynomial from a different algebra than the basis")
+        return normal_remainder(p, self.reducer, trace)
 
 
 def find_obstructions(f: NcPolynomial, g: NcPolynomial) -> list[Obstruction]:
@@ -199,6 +220,9 @@ class _Engine:
         self.prefixes: dict[bytes, list[int]] = {}
         self.suffixes: dict[bytes, list[int]] = {}
         self.factors: dict[bytes, list[int]] = {}
+        # words of monomials known to lie in the ideal: the monomial inputs
+        # fed so far and the basis elements without a tail
+        self.monomials = kernel.Automaton()
         self.queue: list = []
         self.seq = 0
         self.discarded = False
@@ -209,6 +233,27 @@ class _Engine:
 
     def out_of_time(self) -> bool:
         return self.deadline is not None and time.monotonic() > self.deadline
+
+    def screened(self, g: NcPolynomial) -> bool:
+        """Whether input g is a monomial with a factor known to lie in the ideal.
+
+        Such an input adds nothing to the ideal, so it need not be fed.  Any
+        other monomial input is about to be fed, so its word is recorded.
+        Inputs longer than the degree bound are always fed: a truncated run
+        never forms the obstructions that would rebuild their multiples, so
+        its basis can depend on them (a random scan of small ideals found
+        such bases change when those inputs were screened).
+        """
+        if len(g.terms) != 1:
+            return False
+        (w,) = g.terms
+        bound = self.config.degree_bound
+        if not w or (bound is not None and len(w) > bound):
+            return False
+        if self.monomials.first_match(w)[1] >= 0:
+            return True
+        self.monomials.insert(w)
+        return False
 
     def partners(self, lt: bytes) -> list[int]:
         """Ascending indices j whose leading word has an obstruction with lt.
@@ -261,10 +306,18 @@ class _Engine:
         self.polys.append(p)
         self.reducer.append(data)
         self.index(lt, t)
+        if not data[2]:
+            self.monomials.insert(lt)
 
 
 def buchberger(generators: Iterable[NcPolynomial], config: EngineConfig) -> GroebnerBasis:
-    """Noncommutative Buchberger with fair selection and budget semantics."""
+    """Noncommutative Buchberger with fair selection and budget semantics.
+
+    Inputs are fed in ascending leading-word order.  A monomial input within
+    the degree bound whose word contains an earlier monomial input's word, or
+    the leading word of a basis element without a tail, is skipped without a
+    reduction (see _Engine.screened); it adds nothing to the ideal.
+    """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         raise ZeroPolynomial("no nonzero generators")
@@ -289,6 +342,8 @@ def buchberger(generators: Iterable[NcPolynomial], config: EngineConfig) -> Groe
         if eng.out_of_time():
             status = GBStatus.aborted("time")
             break
+        if eng.screened(g):
+            continue
         rem = eng.reducer.reduce(g.terms)
         if rem:
             eng.append(rem)

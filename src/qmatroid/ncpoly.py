@@ -373,7 +373,7 @@ def poly_data(p: NcPolynomial) -> tuple[bytes, Coeff, tuple[tuple[bytes, Coeff],
 
 def normal_remainder(
     p: NcPolynomial,
-    basis: Iterable[NcPolynomial],
+    basis: Iterable[NcPolynomial] | kernel.Reducer,
     trace: list | None = None,
 ) -> NcPolynomial:
     """Normal form of p against a list of nonzero polynomials.
@@ -382,14 +382,23 @@ def normal_remainder(
     earliest end position in the word, ties broken by lowest basis index.
     When trace is a list it receives (cofactor, left, index, right) entries
     with p = sum(cofactor * left * basis[index] * right) + remainder.
+
+    basis may also be a kernel.Reducer already built over poly_data of the
+    polynomials, which saves rebuilding its automaton when many polynomials
+    are reduced against one basis (GroebnerBasis.reducer).  Its entries are
+    not checked again, so the caller vouches that they come from p's algebra;
+    trace indices then refer to reducer.data.
     """
-    reducer = kernel.Reducer()
-    for g in basis:
-        if g.alg != p.alg:
-            raise VariableUniverseMismatch("basis polynomial in a different algebra")
-        if g.is_zero():
-            raise ZeroPolynomial("zero polynomial in reduction basis")
-        reducer.append(poly_data(g))
+    if isinstance(basis, kernel.Reducer):
+        reducer = basis
+    else:
+        reducer = kernel.Reducer()
+        for g in basis:
+            if g.alg != p.alg:
+                raise VariableUniverseMismatch("basis polynomial in a different algebra")
+            if g.is_zero():
+                raise ZeroPolynomial("zero polynomial in reduction basis")
+            reducer.append(poly_data(g))
     out = reducer.reduce(p.terms, trace)
     return NcPolynomial(p.alg, normal_terms(out))
 

@@ -246,7 +246,7 @@ def decide_commutativity(
         config = EngineConfig(time_budget=600.0)
     gb = buchberger(spec.generators, config)
     for c in commutators(spec.algebra):
-        nf = normal_remainder(c, gb.generators)
+        nf = normal_remainder(c, gb.reducer)
         if not nf.is_zero():
             if gb.status.is_complete:
                 return CommutativityVerdict("noncommutative", "groebner", (c, nf), gb)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from qmatroid.groebner import (
     stabilized_buchberger,
     write_gb,
 )
-from qmatroid.matroids import uniform
+from qmatroid.matroids import enumerate_all_matroids, uniform
 from qmatroid.ncpoly import (
     Algebra,
     NcPolynomial,
@@ -30,7 +31,7 @@ from qmatroid.ncpoly import (
     ZeroPolynomial,
     normal_remainder,
 )
-from qmatroid.quantum import qsym_ideal_generators, quantum_aut_spec
+from qmatroid.quantum import AXIOM_KINDS, qsym_ideal_generators, quantum_aut_spec
 
 
 @pytest.fixture(scope="module")
@@ -367,6 +368,99 @@ class TestPartnerIndex:
             assert filtered.iterations == full.iterations
 
 
+class TestInputScreen:
+    """Monomial inputs with a factor known to lie in the ideal are not fed."""
+
+    @staticmethod
+    def kernel_inputs(monkeypatch, gens, config):
+        seen: list[frozenset] = []
+        reduce_terms = kernel.reduce_terms
+
+        def spy(terms, *args):
+            seen.append(frozenset(terms))
+            return reduce_terms(terms, *args)
+
+        monkeypatch.setattr(kernel, "reduce_terms", spy)
+        gb = buchberger(gens, config)
+        monkeypatch.undo()
+        return gb, seen
+
+    def test_known_factor_never_reaches_kernel(self, monkeypatch, alg2):
+        x, y, z = alg2.gen(1, 1), alg2.gen(1, 2), alg2.gen(2, 1)
+        w = x * y
+        inside = z * w * z  # contains the earlier input w
+        outside = z * y * x  # contains no earlier input word
+        config = EngineConfig(time_budget=60.0)
+        gb, seen = self.kernel_inputs(monkeypatch, [inside, outside, w], config)
+        assert gb.status.is_complete
+        assert frozenset(w.terms) in seen
+        assert frozenset(outside.terms) in seen
+        assert frozenset(inside.terms) not in seen
+        # above the degree bound an input is fed as before
+        _, seen = self.kernel_inputs(monkeypatch, [inside, w], EngineConfig(degree_bound=2))
+        assert frozenset(inside.terms) in seen
+
+    def test_tail_free_basis_element_screens(self, monkeypatch, alg2):
+        x, y, z = alg2.gen(1, 1), alg2.gen(1, 2), alg2.gen(2, 1)
+        # z is fed first and turns x*y + z into the tail-free element x*y
+        inside = alg2.gen(2, 2) * x * y
+        config = EngineConfig(time_budget=60.0)
+        gb, seen = self.kernel_inputs(monkeypatch, [x * y + z, z, inside], config)
+        assert gb.status.is_complete
+        assert frozenset(inside.terms) not in seen
+        assert gb.reduce(inside).is_zero()
+
+    def test_every_input_reduces_to_zero(self):
+        for n in (1, 2, 3):
+            for m in enumerate_all_matroids(n, up_to_iso=True):
+                for kind in AXIOM_KINDS:
+                    spec = quantum_aut_spec(m, kind)
+                    gb = buchberger(spec.generators, EngineConfig(time_budget=60.0))
+                    assert gb.status.is_complete
+                    for g in spec.generators:
+                        assert gb.reduce(g).is_zero(), (m, kind, g)
+
+    def test_run_matches_unscreened_engine(self, monkeypatch, u24_generators):
+        u34_circuits = quantum_aut_spec(uniform(3, 4), "circuits").generators
+        for gens in (u24_generators, u34_circuits):
+            config = EngineConfig(time_budget=120.0)
+            screened = buchberger(gens, config)
+            with monkeypatch.context() as m:
+                m.setattr(groebner_module._Engine, "screened", lambda self, g: False)
+                full = buchberger(gens, config)
+            assert screened.status.is_complete
+            assert screened.generators == full.generators
+            assert screened.status == full.status
+
+    def test_truncated_runs_keep_their_basis(self, monkeypatch, alg2):
+        # degree-bounded runs on small random ideals: the screen may only
+        # turn a truncated status into complete, never change the basis
+        rng = random.Random(3)
+        letters = [alg2.gen(i, j) for i in (1, 2) for j in (1, 2)]
+
+        def word(lo, hi):
+            p = alg2.one()
+            for _ in range(rng.randint(lo, hi)):
+                p = p * rng.choice(letters)
+            return p
+
+        for _ in range(600):
+            gens = [word(1, 2) - rng.choice((1, 2)) * word(0, 2) for _ in range(2)]
+            factors = [word(1, 2) for _ in range(2)]
+            gens += factors
+            gens += [word(0, 2) * rng.choice(factors) * word(0, 2) for _ in range(4)]
+            gens = [g for g in gens if not g.is_zero()]
+            config = EngineConfig(degree_bound=rng.choice((2, 3, 4)), max_iterations=300)
+            screened = buchberger(gens, config)
+            with monkeypatch.context() as m:
+                m.setattr(groebner_module._Engine, "screened", lambda self, g: False)
+                full = buchberger(gens, config)
+            if "aborted" in (screened.status.kind, full.status.kind):
+                continue
+            assert screened.generators == full.generators, gens
+            assert screened.status == full.status or screened.status.is_complete
+
+
 class TestCompleteness:
     def test_magic_unitary_bases_pass_exhaustive_reverification(self, alg2, alg3):
         for alg in (alg2, alg3):
@@ -565,6 +659,15 @@ class TestSerialization:
 
 
 class TestBasisInterface:
+    def test_reducer_is_built_once(self, u24_gb):
+        reducer = u24_gb.reducer
+        assert u24_gb.reducer is reducer
+        assert [d[0] for d in reducer.data] == [g.leading_word() for g in u24_gb.generators]
+
+    def test_reduce_rejects_other_algebra(self, u24_gb, alg3):
+        with pytest.raises(VariableUniverseMismatch):
+            u24_gb.reduce(alg3.gen(1, 2))
+
     def test_reduce_accepts_trace(self, u24_gb, u24_generators):
         trace: list = []
         remainder = u24_gb.reduce(u24_generators[0], trace)

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from qmatroid.groebner import EngineConfig, buchberger
 from qmatroid.kernel import sort_key
+from qmatroid.matroids import uniform
 from qmatroid.ncpoly import (
     Algebra,
     ParseError,
@@ -16,7 +18,7 @@ from qmatroid.ncpoly import (
     poly_data,
     replay_trace,
 )
-from qmatroid.quantum import qsym_ideal_generators
+from qmatroid.quantum import commutators, qsym_ideal_generators, quantum_aut_spec
 
 
 @pytest.fixture
@@ -290,6 +292,17 @@ class TestNormalRemainder:
         assert r.terms == {b"": 2}
         assert_coefficient_invariant(r)
         assert replay_trace(trace, basis, r) == u
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_shared_reducer_matches_polynomial_list(self, r):
+        spec = quantum_aut_spec(uniform(r, 4), "bases")
+        gb = buchberger(spec.generators, EngineConfig(time_budget=300.0))
+        basis = list(gb.generators)
+        for c in commutators(gb.algebra):
+            trace = []
+            nf = normal_remainder(c, gb.reducer, trace=trace)
+            assert nf == normal_remainder(c, basis)
+            assert replay_trace(trace, basis, nf) == c
 
     def test_zero_remainder_certifies_membership(self, alg2):
         gens = qsym_ideal_generators(alg2)

@@ -7,6 +7,8 @@ from itertools import permutations
 
 import pytest
 
+import qmatroid.quantum as quantum_module
+from qmatroid import kernel
 from qmatroid.autgroup import automorphism_group
 from qmatroid.groebner import EngineConfig, buchberger
 from qmatroid.matroids import TooLarge, decode_revlex, uniform
@@ -209,6 +211,44 @@ class TestDecideCommutativity:
         )
         assert by_bases.verdict == "noncommutative"
         assert by_circuits.verdict == "commutative"
+
+    def test_commutators_share_one_reducer(self, monkeypatch):
+        # after the engine returns, every commutator goes through the
+        # module-level normal_remainder against one reducer of the basis
+        built: list = []
+        calls: list = []
+        real_reducer = kernel.Reducer
+
+        class Spy(real_reducer):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        engine = quantum_module.buchberger
+        reduce = quantum_module.normal_remainder
+
+        def run(*args):
+            gb = engine(*args)
+            built.clear()
+            calls.clear()
+            monkeypatch.setattr(kernel, "Reducer", Spy)
+            return gb
+
+        def count(p, basis, *args):
+            calls.append(basis)
+            return reduce(p, basis, *args)
+
+        monkeypatch.setattr(quantum_module, "buchberger", run)
+        monkeypatch.setattr(quantum_module, "normal_remainder", count)
+        for r, verdict in ((2, "noncommutative"), (3, "commutative")):
+            monkeypatch.setattr(kernel, "Reducer", real_reducer)
+            spec = quantum_aut_spec(uniform(r, 4), "bases")
+            v = decide_commutativity(spec, EngineConfig(time_budget=300.0), shortcuts=False)
+            assert v.verdict == verdict
+            assert len(built) == 1
+            assert all(basis is built[0] for basis in calls)
+            if verdict == "commutative":
+                assert len(calls) == len(commutators(spec.algebra))
 
     def test_partial_basis_cannot_claim_noncommutativity(self):
         spec = quantum_aut_spec(uniform(2, 4), "bases")
