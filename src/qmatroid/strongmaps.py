@@ -7,6 +7,23 @@ mapping f is a strong map when the preimage of every pointed flat is a
 pointed flat, concretely: for each flat G of the target, the set of source
 elements mapped into G or to the basepoint must be a flat of the source.
 
+Checking hyperplanes suffices: f is strong exactly when the preimage,
+basepoint included, of every hyperplane of the target is a flat of the
+source.  Preimages commute with intersections, every proper flat is an
+intersection of hyperplanes, intersections of flats are flats, and the
+preimage of the whole target is the whole source.  A rank-0 target has no
+hyperplanes, so every map into it is strong.  is_strong_map still checks
+every flat and is the reference the enumeration is tested against.
+
+The enumeration assigns source elements depth first, in itertools.product
+order, carrying one partial preimage per target hyperplane.  A branch is
+pruned as soon as a partial preimage is not the trace of any source flat on
+the elements assigned so far, since no completion can then make it a flat.
+Each public call builds the bitmask tables of its matroids (flats,
+hyperplanes, bases, ranks) once and drops them when it returns.  No cache
+outlives a call: repeating a call repeats its work, and no matroid or
+catalog is changed.
+
 Since images of maps can be empty, the catalog of isomorphism classes needs
 an explicit empty matroid, which the main matroid type cannot represent; the
 module-level EMPTY_MATROID sentinel stands for it.
@@ -24,10 +41,10 @@ classes, which turns isomorphism testing into comparing count vectors.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .autgroup import automorphism_group
 from .matroids import (
@@ -133,25 +150,123 @@ def _is_embedding(m1: Matroid, m2: Matroid, mapping: dict[int, int]) -> bool:
     return relabel(m1, mapping) == m2.restrict(values)
 
 
-def strong_maps(m1: Matroid, m2: Matroid) -> Iterator[StrongMap]:
-    """All strong maps, by exhaustive search over (n2 + 1)^n1 candidates."""
-    src = m1.ground.elements
-    codomain = (BASEPOINT,) + m2.ground.elements
-    total = len(codomain) ** len(src)
+class _Tables(NamedTuple):
+    """One matroid as position masks: bit i stands for the i-th ground element."""
+
+    n: int
+    bases: tuple[int, ...]
+    rank: list[int]  # rank of every position mask
+    hyperplanes: tuple[int, ...]
+    # steps[k][p], for p the trace of a flat on positions below k: bit 0 is
+    # set when p is also such a trace below k + 1, bit 1 when p | 1 << k is
+    steps: tuple[dict[int, int], ...]
+
+
+def _tables(m: AnyMatroid) -> _Tables:
+    n = m.n
+    if isinstance(m, _EmptyMatroid):
+        bases: tuple[int, ...] = (0,)
+    else:
+        bases = tuple(
+            sum(1 << i for i, x in enumerate(m.ground.elements) if b >> (x - 1) & 1)
+            for b in m.basis_masks
+        )
+    rank = [max((b & s).bit_count() for b in bases) for s in range(1 << n)]
+    flats = [
+        s
+        for s in range(1 << n)
+        if all(rank[s | 1 << i] > rank[s] for i in range(n) if not s >> i & 1)
+    ]
+    hyperplanes = tuple(f for f in flats if rank[f] == rank[-1] - 1)
+    steps = []
+    for k in range(n):
+        below, upto = (1 << k) - 1, (1 << (k + 1)) - 1
+        traces = {f & upto for f in flats}
+        steps.append(
+            {f & below: (f & below in traces) | (f & below | 1 << k in traces) << 1 for f in flats}
+        )
+    return _Tables(n, bases, rank, hyperplanes, tuple(steps))
+
+
+def _check_cap(n1: int, n2: int) -> None:
+    total = (n2 + 1) ** n1
     if total > MAP_ENUMERATION_CAP:
         raise TooLarge(f"{total} candidate maps exceed cap {MAP_ENUMERATION_CAP}")
-    flats1 = set(m1.flats().members)
-    flats2 = list(m2.flats().members)
-    for values in product(codomain, repeat=len(src)):
-        mapping = dict(zip(src, values))
-        ok = True
-        for g in flats2:
-            pre = frozenset(x for x, v in mapping.items() if v == BASEPOINT or v in g)
-            if pre not in flats1:
-                ok = False
-                break
-        if ok:
-            yield StrongMap(m1, m2, tuple(sorted(mapping.items())))
+
+
+def _strong_assignments(t1: _Tables, t2: _Tables) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every strong map as (codomain indices, image mask), in product order.
+
+    Codomain index 0 is the basepoint and i + 1 the target's position i.
+    Source positions are assigned depth first; one preimage mask per target
+    hyperplane is carried, all packed into one integer with n1 bits each.
+    """
+    n1, n2 = t1.n, t2.n
+    h = len(t2.hyperplanes)
+    # hits[c]: the hyperplanes whose preimage gains an element sent to c
+    hits = [(1 << h) - 1] + [
+        sum(1 << j for j, g in enumerate(t2.hyperplanes) if g >> i & 1) for i in range(n2)
+    ]
+    spread = [sum(1 << (j * n1) for j in range(h) if c >> j & 1) for c in hits]
+    image_bits = [0] + [1 << i for i in range(n2)]
+    chunk = (1 << n1) - 1
+    shifts = [j * n1 for j in range(h)]
+    codomain = range(n2 + 1)
+    values = [0] * n1
+
+    def walk(k: int, packed: int, image: int):
+        if k == n1:
+            yield tuple(values), image
+            return
+        step = t1.steps[k]
+        # need_in: rows that must take position k; need_out: rows that must not
+        need_in = need_out = 0
+        for j, shift in enumerate(shifts):
+            code = step[packed >> shift & chunk]
+            if not code & 1:
+                need_in |= 1 << j
+            if not code & 2:
+                need_out |= 1 << j
+        for c in codomain:
+            row = hits[c]
+            if row & need_out or need_in & ~row:
+                continue
+            values[k] = c
+            yield from walk(k + 1, packed | spread[c] << k, image | image_bits[c])
+
+    return walk(0, 0, 0)
+
+
+def _count(t1: _Tables, t2: _Tables) -> tuple[int, int, int, dict[int, int]]:
+    """hom, surj and emb, with the number of strong maps per image mask."""
+    n1 = t1.n
+    by_image: dict[int, int] = {}
+    restricted: dict[int, frozenset[int]] = {}
+    emb = 0
+    for values, image in _strong_assignments(t1, t2):
+        by_image[image] = by_image.get(image, 0) + 1
+        # n1 image elements: injective and nothing sent to the basepoint
+        if image.bit_count() == n1:
+            if image not in restricted:
+                r = t2.rank[image]
+                restricted[image] = frozenset(
+                    b & image for b in t2.bases if (b & image).bit_count() == r
+                )
+            bits = [1 << (c - 1) for c in values]
+            mapped = {sum(bits[i] for i in range(n1) if b >> i & 1) for b in t1.bases}
+            if mapped == restricted[image]:
+                emb += 1
+    full = (1 << t2.n) - 1
+    return sum(by_image.values()), by_image.get(full, 0), emb, by_image
+
+
+def strong_maps(m1: Matroid, m2: Matroid) -> Iterator[StrongMap]:
+    """All strong maps, in itertools.product order of their target values."""
+    _check_cap(m1.n, m2.n)
+    src = m1.ground.elements
+    codomain = (BASEPOINT,) + m2.ground.elements
+    for values, _ in _strong_assignments(_tables(m1), _tables(m2)):
+        yield StrongMap(m1, m2, tuple(zip(src, [codomain[c] for c in values])))
 
 
 @dataclass(frozen=True)
@@ -173,21 +288,14 @@ def hom_counts(m1: AnyMatroid, m2: AnyMatroid) -> HomCounts:
     if isinstance(m2, _EmptyMatroid):
         # only the all-to-basepoint map; its preimage of the empty flat is E1
         return HomCounts(1, 1, 0, ((EMPTY_KEY, 1),))
-    hom = surj = emb = 0
-    target_all = frozenset(m2.ground)
-    key_cache: dict[frozenset[int], tuple[int, tuple[int, ...]]] = {}
+    _check_cap(m1.n, m2.n)
+    elements = m2.ground.elements
+    hom, surj, emb, by_image = _count(_tables(m1), _tables(m2))
     by_class: dict[tuple[int, tuple[int, ...]], int] = {}
-    for f in strong_maps(m1, m2):
-        hom += 1
-        img = f.image_labels
-        if img == target_all:
-            surj += 1
-        if f.is_embedding:
-            emb += 1
-        if img not in key_cache:
-            key_cache[img] = EMPTY_KEY if not img else iso_key(m2.restrict(img))
-        key = key_cache[img]
-        by_class[key] = by_class.get(key, 0) + 1
+    for image, count in by_image.items():
+        labels = [x for i, x in enumerate(elements) if image >> i & 1]
+        key = iso_key(m2.restrict(labels)) if labels else EMPTY_KEY
+        by_class[key] = by_class.get(key, 0) + count
     return HomCounts(hom, surj, emb, tuple(sorted(by_class.items())))
 
 
@@ -228,19 +336,31 @@ def verify_decomposition(
     """Check hom = sum over classes of surj * emb / aut against a catalog.
 
     Raises CatalogIncomplete when some image class of an actual strong map has
-    no representative in the catalog, since the identity cannot hold then.
+    no representative in the catalog, since the identity cannot hold then,
+    and ValueError when the catalog repeats a class, whose term would then
+    be counted twice.
     """
-    keys = {iso_key(n) for n in catalog}
+    keys = Counter(iso_key(n) for n in catalog)
+    repeated = sorted(k for k, count in keys.items() if count > 1)
+    if repeated:
+        raise ValueError(f"catalog repeats isomorphism classes with keys {repeated}")
     direct = hom_counts(m1, m2)
     missing = [k for k, _ in direct.by_image_class if k not in keys]
     if missing:
         raise CatalogIncomplete(f"catalog lacks image classes with keys {missing}")
+    for n in catalog:
+        _check_cap(m1.n, n.n)
+        _check_cap(n.n, m2.n)
+    t1, t2 = _tables(m1), _tables(m2)
     terms = []
     total = Fraction(0)
     for n in catalog:
-        s = hom_counts(m1, n).surj
-        e = hom_counts(n, m2).emb
-        if s == 0 or e == 0:
+        tn = _tables(n)
+        s = _count(t1, tn)[1]
+        if s == 0:
+            continue
+        e = _count(tn, t2)[2]
+        if e == 0:
             continue
         term = DecompositionTerm(n, s, e, aut_order(n))
         terms.append(term)
@@ -250,7 +370,12 @@ def verify_decomposition(
 
 def hom_profile(m: AnyMatroid, catalog: list[AnyMatroid]) -> tuple[int, ...]:
     """Vector of hom counts from m into each catalog representative."""
-    return tuple(hom_counts(m, n).hom for n in catalog)
+    t = _tables(m)
+    out = []
+    for n in catalog:
+        _check_cap(m.n, n.n)
+        out.append(_count(t, _tables(n))[0])
+    return tuple(out)
 
 
 def lovasz_isomorphism_test(
@@ -269,9 +394,13 @@ def lovasz_isomorphism_test(
     """
     if catalog is None:
         catalog = iso_class_catalog(max(m1.n, m2.n))
+    t1, t2 = _tables(m1), _tables(m2)
     for n in catalog:
-        a = hom_counts(m1, n).hom
-        b = hom_counts(m2, n).hom
+        _check_cap(m1.n, n.n)
+        _check_cap(m2.n, n.n)
+        tn = _tables(n)
+        a = _count(t1, tn)[0]
+        b = _count(t2, tn)[0]
         if a != b:
             return (False, (n, a, b)) if return_witness else False
     return (True, None) if return_witness else True

@@ -10,7 +10,7 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from qmatroid import kernel
+from qmatroid import kernel, strongmaps
 from qmatroid.groebner import EngineConfig
 from qmatroid.matroids import uniform
 from qmatroid.quantum import decide_commutativity, quantum_aut_spec
@@ -47,3 +47,19 @@ def test_tracer_counts_every_layer_and_restores():
     ):
         assert metrics[name] > 0, name
     assert kernel.reduce_terms is original
+
+
+def test_tracer_reaches_the_strongmaps_layer_and_restores():
+    original = strongmaps.hom_counts
+    catalog = strongmaps.iso_class_catalog(2)
+    tracer = load_tracer().Tracer("test")
+    tracer.install()
+    try:
+        strongmaps.verify_decomposition(uniform(1, 2), uniform(2, 2), catalog)
+        strongmaps.lovasz_isomorphism_test(uniform(1, 2), uniform(2, 2), catalog)
+        metrics = tracer.snapshot()
+    finally:
+        tracer.uninstall()
+    assert metrics["strongmaps.verify_decomposition_s"] > 0
+    assert metrics["strongmaps.hom_counts_calls"] > 0
+    assert strongmaps.hom_counts is original

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from itertools import product
 
 import pytest
 
 from qmatroid.autgroup import is_isomorphic
-from qmatroid.matroids import TooLarge, relabel, uniform
+from qmatroid.matroids import TooLarge, direct_sum, relabel, uniform
 from qmatroid.strongmaps import (
     BASEPOINT,
     EMPTY_KEY,
     EMPTY_MATROID,
     CatalogIncomplete,
+    StrongMap,
     aut_order,
     hom_counts,
     hom_profile,
@@ -39,6 +42,38 @@ def brute_force_strong_maps(m1, m2):
         if is_strong_map(m1, m2, mapping):
             out.append(tuple(sorted(mapping.items())))
     return out
+
+
+def onto(m, labels):
+    return relabel(m, dict(zip(m.ground.elements, labels)))
+
+
+CLASSES3 = [m for m in iso_class_catalog(3) if m is not EMPTY_MATROID]
+LOOP = uniform(0, 1)
+TWO_PARALLEL_CLASSES = direct_sum(uniform(1, 2), uniform(1, 2), offset=2)
+LOOP_AND_TRIANGLE = direct_sum(LOOP, uniform(2, 3), offset=1)
+PARALLEL_CLASS_AND_LOOP = direct_sum(uniform(1, 3), LOOP, offset=3)
+
+# every ordered pair of classes with at most three elements, copies on
+# labels that are not 1..n, and four-element pairs with loops, parallel
+# elements and rank-0 targets
+REFERENCE_PAIRS = (
+    [(a, b) for a in CLASSES3 for b in CLASSES3]
+    + [
+        (onto(uniform(2, 3), (2, 5, 7)), uniform(1, 2)),
+        (uniform(2, 3), onto(uniform(2, 3), (2, 5, 7))),
+        (onto(LOOP_AND_TRIANGLE, (1, 4, 6, 9)), onto(uniform(1, 2), (3, 8))),
+        (onto(uniform(1, 2), (4, 9)), onto(LOOP_AND_TRIANGLE, (2, 3, 5, 7))),
+        (TWO_PARALLEL_CLASSES, LOOP_AND_TRIANGLE),
+        (LOOP_AND_TRIANGLE, TWO_PARALLEL_CLASSES),
+        (PARALLEL_CLASS_AND_LOOP, uniform(2, 4)),
+        (uniform(2, 4), PARALLEL_CLASS_AND_LOOP),
+        (uniform(3, 4), uniform(2, 4)),
+        (uniform(2, 4), uniform(0, 4)),
+        (TWO_PARALLEL_CLASSES, onto(uniform(0, 3), (2, 4, 6))),
+        (uniform(0, 4), uniform(1, 3)),
+    ]
+)
 
 
 class TestStrongMapPredicate:
@@ -77,19 +112,31 @@ class TestEnumeration:
             (uniform(2, 2), uniform(1, 2)),
             (uniform(1, 1), uniform(2, 3)),
             (uniform(2, 3), uniform(1, 1)),
-        ],
+        ]
+        + REFERENCE_PAIRS,
     )
     def test_matches_brute_force(self, m1, m2):
+        # the same maps in the same order: itertools.product over the values
         found = [f.mapping for f in strong_maps(m1, m2)]
-        assert sorted(found) == sorted(brute_force_strong_maps(m1, m2))
+        assert found == brute_force_strong_maps(m1, m2)
 
     def test_yielded_maps_pass_the_predicate(self):
         for f in strong_maps(uniform(1, 2), uniform(1, 2)):
             assert is_strong_map(f.source, f.target, dict(f.mapping))
 
     def test_candidate_cap(self):
+        # 9^8 candidates: every entry point refuses before enumerating
+        big = uniform(1, 8)
         with pytest.raises(TooLarge):
-            next(strong_maps(uniform(1, 8), uniform(1, 8)))
+            next(strong_maps(big, big))
+        with pytest.raises(TooLarge):
+            hom_counts(big, big)
+        with pytest.raises(TooLarge):
+            verify_decomposition(big, big, iso_class_catalog(1))
+        with pytest.raises(TooLarge):
+            hom_profile(big, [big])
+        with pytest.raises(TooLarge):
+            lovasz_isomorphism_test(big, big, [big])
 
     def test_map_object_surface(self):
         maps = {f.mapping: f for f in strong_maps(uniform(1, 2), uniform(1, 2))}
@@ -124,6 +171,16 @@ class TestHomCounts:
     def test_census(self, m1, m2, expected):
         counts = hom_counts(m1, m2)
         assert (counts.hom, counts.surj, counts.emb) == expected
+
+    @pytest.mark.parametrize("m1,m2", REFERENCE_PAIRS)
+    def test_fields_match_a_tally_of_the_reference_maps(self, m1, m2):
+        maps = [StrongMap(m1, m2, mapping) for mapping in brute_force_strong_maps(m1, m2)]
+        classes = Counter(iso_key(f.image()) for f in maps)
+        counts = hom_counts(m1, m2)
+        assert counts.hom == len(maps)
+        assert counts.surj == sum(f.is_surjective for f in maps)
+        assert counts.emb == sum(f.is_embedding for f in maps)
+        assert counts.by_image_class == tuple(sorted(classes.items()))
 
     def test_self_counts_recover_the_automorphism_group(self):
         for m in [uniform(1, 2), uniform(2, 2), uniform(2, 3)]:
@@ -179,6 +236,12 @@ class TestDecomposition:
     def test_incomplete_catalog_is_rejected(self):
         with pytest.raises(CatalogIncomplete):
             verify_decomposition(uniform(1, 1), uniform(1, 1), [EMPTY_MATROID])
+
+    def test_repeated_class_is_rejected(self, catalog2):
+        # counted twice, the repeated class's term would break the identity
+        u12 = uniform(1, 2)
+        with pytest.raises(ValueError, match=re.escape(str(iso_key(u12)))):
+            verify_decomposition(u12, u12, catalog2 + [relabel(u12, {1: 2, 2: 1})])
 
 
 class TestLovaszProfileTest:
