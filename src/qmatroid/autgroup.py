@@ -2,6 +2,10 @@
 
 Permutations are stored extensionally as tuples of images aligned with the
 sorted ground labels; degree is capped at 9 (9! = 362880 candidates).
+
+One loop, _isomorphisms, yields every basis-preserving bijection in
+permutations order, dropping a candidate at its first unpreserved basis;
+automorphism_group collects them and find_isomorphism takes the first.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
-from .matroids import Matroid, TooLarge
+from .matroids import Matroid, _position_bases, _position_subsets
 
 
 @dataclass(frozen=True)
@@ -38,40 +42,32 @@ class PermGroup:
         return False
 
 
-def _apply_to_mask(images: tuple[int, ...], domain: tuple[int, ...], mask: int) -> int:
-    out = 0
-    for pos, label in enumerate(domain):
-        if mask & (1 << (label - 1)):
-            out |= 1 << (images[pos] - 1)
-    return out
+def _isomorphisms(m1: Matroid, m2: Matroid) -> Iterator[tuple[int, ...]]:
+    """Images of m1's ground labels under each basis-preserving bijection
+    onto m2, whose ground set must have the same size."""
+    d2 = m2.ground.elements
+    n = len(d2)
+    subsets = _position_subsets(n, m1.rank)
+    places = [subsets[b] for b in _position_bases(m1)]
+    bases2 = frozenset(_position_bases(m2))
+    for images, perm in zip(permutations(d2), permutations([1 << i for i in range(n)])):
+        get = perm.__getitem__
+        if all(sum(map(get, p)) in bases2 for p in places):
+            yield images
 
 
 def automorphism_group(m: Matroid) -> PermGroup:
     """All basis-preserving permutations of the ground set."""
-    domain = m.ground.elements
-    if len(domain) > 9:
-        raise TooLarge(f"automorphism search is guarded to degree 9, got {len(domain)}")
-    masks = m.basis_masks
-    found = []
-    for images in permutations(domain):
-        if all(_apply_to_mask(images, domain, b) in masks for b in masks):
-            found.append(images)
-    return PermGroup(domain, frozenset(found))
+    return PermGroup(m.ground.elements, frozenset(_isomorphisms(m, m)))
 
 
 def find_isomorphism(m1: Matroid, m2: Matroid) -> dict[int, int] | None:
     """A basis-preserving bijection of ground sets, or None."""
     d1 = m1.ground.elements
-    d2 = m2.ground.elements
-    if len(d1) != len(d2) or m1.rank != m2.rank or len(m1.basis_masks) != len(m2.basis_masks):
+    if len(d1) != m2.n or m1.rank != m2.rank or len(m1.basis_masks) != len(m2.basis_masks):
         return None
-    if len(d1) > 9:
-        raise TooLarge(f"isomorphism search is guarded to degree 9, got {len(d1)}")
-    masks2 = m2.basis_masks
-    for images in permutations(d2):
-        if all(_apply_to_mask(images, d1, b) in masks2 for b in m1.basis_masks):
-            return dict(zip(d1, images))
-    return None
+    images = next(_isomorphisms(m1, m2), None)
+    return None if images is None else dict(zip(d1, images))
 
 
 def is_isomorphic(m1: Matroid, m2: Matroid) -> bool:

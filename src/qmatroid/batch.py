@@ -66,11 +66,15 @@ class RunConfig:
     axioms: tuple[str, ...] = ("bases", "circuits")
 
     def engine_config(self) -> EngineConfig:
-        if self.degree_bound is None and self.time_budget is None:
+        """Engine budgets, for every CLI subcommand: a time budget <= 0 means
+        none, and no bound at all means ten minutes, since a default degree
+        bound would downgrade finishing runs to truncated."""
+        time_budget = self.time_budget
+        if time_budget is not None and time_budget <= 0:
+            time_budget = None
+        if self.degree_bound is None and time_budget is None:
             return EngineConfig(time_budget=600.0)
-        return EngineConfig(
-            degree_bound=self.degree_bound, time_budget=self.time_budget
-        )
+        return EngineConfig(degree_bound=self.degree_bound, time_budget=time_budget)
 
 
 @dataclass(frozen=True)

@@ -102,19 +102,9 @@ def cmd_encode(args) -> int:
 
 
 def _engine_config_from(args) -> EngineConfig:
-    """Default is a ten-minute wall clock with no degree bound.
-
-    A degree bound would downgrade finishing runs to truncated whenever some
-    above-bound obstruction is discarded, so it is opt-in.
-    """
-    time_budget = args.time_budget
-    if time_budget is not None and time_budget <= 0:
-        time_budget = None
     if getattr(args, "unbounded", False):
         return EngineConfig(unbounded=True)
-    if args.degree_bound is None and time_budget is None:
-        return EngineConfig(time_budget=600.0)
-    return EngineConfig(degree_bound=args.degree_bound, time_budget=time_budget)
+    return RunConfig(degree_bound=args.degree_bound, time_budget=args.time_budget).engine_config()
 
 
 def cmd_gb(args) -> int:
@@ -166,12 +156,9 @@ def cmd_commutativity(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    time_budget = args.time_budget
-    if time_budget is not None and time_budget <= 0:
-        time_budget = None
     config = RunConfig(
         degree_bound=args.degree_bound,
-        time_budget=time_budget,
+        time_budget=args.time_budget,
         threads=args.threads,
         shortcuts_enabled=not args.no_shortcuts,
     )

@@ -12,6 +12,14 @@ renders that string in hexadecimal after left-padding with zeros to a multiple
 of four bits.  Reverse lexicographic order compares r-subsets by their sorted
 descending label tuples, so for triples of {1..7} it begins 123, 124, 134,
 234, 125, ...
+
+Both canonical forms come from one search over the n! relabelings onto
+{1..n} (n <= 9) for the least and greatest indicator value.  The least is
+canonical_revlex_hex; the greatest is canonical_basis_masks, the least sorted
+tuple of basis masks.  For sets of one size, ascending mask order is revlex
+order (both compare the largest differing element), and relabeled families
+have equally many bases; so two such tuples compare by the least mask in
+which the families differ, which is the top bit where their values differ.
 """
 
 from __future__ import annotations
@@ -147,9 +155,6 @@ class SubsetFamily:
         if isinstance(subset, (set, tuple, list)):
             return frozenset(subset) in self.members
         return False
-
-    def sorted_members(self) -> list[tuple[int, ...]]:
-        return sorted((tuple(sorted(s)) for s in self.members), key=lambda t: (len(t), t))
 
 
 @dataclass(frozen=True)
@@ -427,18 +432,45 @@ def encode_revlex(m: Matroid) -> RevlexCode:
 # -- enumeration and isomorphism-free canonical forms ------------------------
 
 
+def _position_bases(m: Matroid) -> tuple[int, ...]:
+    """Basis masks with bit i standing for the i-th ground element."""
+    elements = m.ground.elements
+    return tuple(
+        sum(1 << i for i, x in enumerate(elements) if b >> (x - 1) & 1) for b in m.basis_masks
+    )
+
+
+def _position_subsets(n: int, r: int) -> dict[int, tuple[int, ...]]:
+    """Every r-subset of positions 0..n-1 by mask, in revlex order.  Each
+    relabeling search starts here, so its guard (n <= 9, 9! = 362880) is here."""
+    if n > 9:
+        raise TooLarge(f"relabeling search is guarded to degree 9, got {n}")
+    bits = [1 << i for i in range(n)]
+    return dict(sorted(zip(map(sum, combinations(bits, r)), combinations(range(n), r))))
+
+
+def _revlex_extremes(m: Matroid) -> tuple[int, int, dict[int, int]]:
+    """Least and greatest revlex indicator value over all relabelings onto {1..n}.
+
+    Also returns the indicator bit of every r-subset mask, in revlex order.
+    """
+    subsets = _position_subsets(m.n, m.rank)
+    count = len(subsets)
+    weight = {s: 1 << (count - 1 - k) for k, s in enumerate(subsets)}
+    places = [subsets[b] for b in _position_bases(m)]
+    # perm[i] is the new bit of position i; distinct bases keep distinct images
+    values = [
+        sum([weight[sum(map(perm.__getitem__, p))] for p in places])
+        for perm in permutations([1 << i for i in range(m.n)])
+    ]
+    return min(values), max(values), weight
+
+
 def canonical_basis_masks(m: Matroid) -> tuple[int, ...]:
-    """Sorted basis masks minimized over all relabelings onto {1..n}."""
-    order_map = {x: i + 1 for i, x in enumerate(m.ground.elements)}
-    base = [tuple(order_map[x] for x in _labels(b)) for b in m.basis_masks]
-    n = m.n
-    best: tuple[int, ...] | None = None
-    for perm in permutations(range(1, n + 1)):
-        imgs = tuple(sorted(_mask(perm[x - 1] for x in b) for b in base))
-        if best is None or imgs < best:
-            best = imgs
-    assert best is not None
-    return best
+    """Sorted basis masks minimized over all relabelings onto {1..n}: the
+    relabeling with the greatest revlex indicator value (module docstring)."""
+    _, greatest, weight = _revlex_extremes(m)
+    return tuple(s for s, bit in weight.items() if greatest & bit)
 
 
 def canonical_form(m: Matroid) -> Matroid:
@@ -454,22 +486,8 @@ def canonical_revlex_hex(m: Matroid) -> str:
     loops take the smallest labels, pushing basis bits toward the low end of
     the indicator integer.
     """
-    n = m.n
-    subsets = revlex_subsets(n, m.rank)
-    count = len(subsets)
-    position = {_mask(c): count - 1 - k for k, c in enumerate(subsets)}
-    order_map = {x: i + 1 for i, x in enumerate(m.ground.elements)}
-    base = [tuple(order_map[x] for x in _labels(b)) for b in m.basis_masks]
-    best: int | None = None
-    for perm in permutations(range(1, n + 1)):
-        value = 0
-        for b in base:
-            value |= 1 << position[_mask(perm[x - 1] for x in b)]
-        if best is None or value < best:
-            best = value
-    assert best is not None
-    width = (count + 3) // 4
-    return format(best, f"0{width}x")
+    least, _, weight = _revlex_extremes(m)
+    return format(least, f"0{(len(weight) + 3) // 4}x")
 
 
 def enumerate_matroids(n: int, r: int, up_to_iso: bool = False) -> list[Matroid]:
@@ -483,22 +501,19 @@ def enumerate_matroids(n: int, r: int, up_to_iso: bool = False) -> list[Matroid]
         raise MatroidError("n must be at least 1")
     if r < 0 or r > n:
         raise RankOutOfRange(f"rank {r} out of range 0..{n}")
+    ground = GroundSet(tuple(range(1, n + 1)))
     if r == 0:
-        return [Matroid(GroundSet(tuple(range(1, n + 1))), frozenset({0}), 0)]
+        return [Matroid(ground, frozenset({0}), 0)]
     combos = [_mask(c) for c in combinations(range(1, n + 1), r)]
     found: list[Matroid] = []
     for selector in range(1, 1 << len(combos)):
         fam = frozenset(combos[i] for i in range(len(combos)) if (selector >> i) & 1)
         if _exchange_violation(fam) is None:
-            found.append(Matroid(GroundSet(tuple(range(1, n + 1))), fam, r))
+            found.append(Matroid(ground, fam, r))
     if not up_to_iso:
         return found
-    reps: dict[tuple[int, ...], Matroid] = {}
-    for m in found:
-        key = canonical_basis_masks(m)
-        if key not in reps:
-            reps[key] = Matroid(m.ground, frozenset(key), r)
-    return [reps[k] for k in sorted(reps)]
+    keys = sorted({canonical_basis_masks(m) for m in found})
+    return [Matroid(ground, frozenset(k), r) for k in keys]
 
 
 def enumerate_all_matroids(n: int, up_to_iso: bool = False) -> list[Matroid]:

@@ -50,6 +50,7 @@ from .autgroup import automorphism_group
 from .matroids import (
     Matroid,
     TooLarge,
+    _position_bases,
     canonical_basis_masks,
     enumerate_all_matroids,
     relabel,
@@ -164,13 +165,7 @@ class _Tables(NamedTuple):
 
 def _tables(m: AnyMatroid) -> _Tables:
     n = m.n
-    if isinstance(m, _EmptyMatroid):
-        bases: tuple[int, ...] = (0,)
-    else:
-        bases = tuple(
-            sum(1 << i for i, x in enumerate(m.ground.elements) if b >> (x - 1) & 1)
-            for b in m.basis_masks
-        )
+    bases = (0,) if isinstance(m, _EmptyMatroid) else _position_bases(m)
     rank = [max((b & s).bit_count() for b in bases) for s in range(1 << n)]
     flats = [
         s

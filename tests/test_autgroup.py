@@ -12,7 +12,14 @@ from qmatroid.autgroup import (
     find_isomorphism,
     is_isomorphic,
 )
-from qmatroid.matroids import TooLarge, decode_revlex, relabel, uniform
+from qmatroid.matroids import (
+    TooLarge,
+    decode_revlex,
+    enumerate_all_matroids,
+    relabel,
+    uniform,
+)
+from qmatroid.strongmaps import iso_class_catalog
 
 FANO_HEX = "3f7eefd6f"
 
@@ -138,3 +145,75 @@ class TestIsomorphism:
     def test_degree_guard(self):
         with pytest.raises(TooLarge):
             find_isomorphism(uniform(1, 10), uniform(1, 10))
+
+
+# The searches as written before they shared one loop, kept verbatim as
+# references: one loop for the group, one for the first isomorphism.
+
+
+def _apply_to_mask(images, domain, mask):
+    out = 0
+    for pos, label in enumerate(domain):
+        if mask & (1 << (label - 1)):
+            out |= 1 << (images[pos] - 1)
+    return out
+
+
+def reference_automorphisms(m):
+    domain = m.ground.elements
+    masks = m.basis_masks
+    found = []
+    for images in permutations(domain):
+        if all(_apply_to_mask(images, domain, b) in masks for b in masks):
+            found.append(images)
+    return frozenset(found)
+
+
+def reference_find_isomorphism(m1, m2):
+    d1 = m1.ground.elements
+    d2 = m2.ground.elements
+    if len(d1) != len(d2) or m1.rank != m2.rank or len(m1.basis_masks) != len(m2.basis_masks):
+        return None
+    masks2 = m2.basis_masks
+    for images in permutations(d2):
+        if all(_apply_to_mask(images, d1, b) in masks2 for b in m1.basis_masks):
+            return dict(zip(d1, images))
+    return None
+
+
+def with_relabelled_copies(max_n):
+    """Every labelled matroid up to max_n, plus copies on non-contiguous labels."""
+    out = []
+    for n in range(1, max_n + 1):
+        for m in enumerate_all_matroids(n):
+            elems = m.ground.elements
+            spread = (2, 5, 7, 10, 13)[:n]
+            gaps = (1, 4, 6, 9, 11)[:n]
+            out += [
+                m,
+                relabel(m, dict(zip(elems, spread))),
+                relabel(m, dict(zip(elems, reversed(gaps)))),
+            ]
+    return out
+
+
+class TestAgainstReference:
+    def test_automorphism_groups(self):
+        matroids = with_relabelled_copies(5)
+        assert len(matroids) == 3 * 497
+        for m in matroids:
+            group = automorphism_group(m)
+            assert group.domain == m.ground.elements
+            assert group.perms == reference_automorphisms(m)
+
+    def test_find_isomorphism_returns_the_first_mapping(self):
+        matroids = with_relabelled_copies(4)
+        pairs = 0
+        for c in iso_class_catalog(4)[1:]:
+            for m in matroids:
+                if m.n != c.n:
+                    continue
+                pairs += 1
+                assert find_isomorphism(c, m) == reference_find_isomorphism(c, m)
+                assert find_isomorphism(m, c) == reference_find_isomorphism(m, c)
+        assert pairs == 3924

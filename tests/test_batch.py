@@ -22,6 +22,7 @@ from qmatroid.batch import (
     run_matroid,
     write_tables,
 )
+from qmatroid.groebner import EngineConfig
 from qmatroid.matroids import (
     INFINITY,
     canonical_revlex_hex,
@@ -67,6 +68,11 @@ class TestRunConfig:
     def test_engine_config_never_unbounded(self):
         ec = RunConfig(degree_bound=None, time_budget=None).engine_config()
         assert ec.time_budget == 600.0
+
+    def test_non_positive_time_budget_means_none(self):
+        assert RunConfig(time_budget=0).engine_config() == EngineConfig(time_budget=600.0)
+        ec = RunConfig(degree_bound=3, time_budget=-1.0).engine_config()
+        assert ec == EngineConfig(degree_bound=3)
 
 
 class TestResultRow:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from qmatroid.cli import main
-from qmatroid.groebner import read_gb
+from qmatroid.groebner import EngineConfig, read_gb
 
 FANO_HEX = "3f7eefd6f"
 
@@ -268,6 +268,55 @@ class TestTables:
         )
         assert code == 2
         assert "--extended" in err
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestEngineBudgets:
+    """The EngineConfig each subcommand hands to the engine, per budget flag."""
+
+    def captured(self, monkeypatch, argv):
+        import qmatroid.cli as cli
+
+        seen = []
+
+        def gb_stub(generators, config):
+            seen.append(config)
+            raise _Stop
+
+        def tables_stub(jobs, config):
+            seen.append(config.engine_config())
+            raise _Stop
+
+        monkeypatch.setattr(cli, "buchberger", gb_stub)
+        monkeypatch.setattr(cli, "run_batch", tables_stub)
+        with pytest.raises(_Stop):
+            main(argv)
+        return seen[0]
+
+    @pytest.mark.parametrize(
+        "flags,expected",
+        [
+            ([], EngineConfig(time_budget=600.0)),
+            (["--time-budget", "0"], EngineConfig(time_budget=600.0)),
+            (["--degree-bound", "3"], EngineConfig(degree_bound=3)),
+        ],
+    )
+    def test_gb(self, monkeypatch, flags, expected):
+        assert self.captured(monkeypatch, ["gb", "3", "2", "1", *flags]) == expected
+
+    @pytest.mark.parametrize(
+        "flags,expected",
+        [
+            ([], EngineConfig(time_budget=600.0)),
+            (["--time-budget", "0"], EngineConfig(time_budget=600.0)),
+            (["--degree-bound", "3"], EngineConfig(degree_bound=3, time_budget=600.0)),
+        ],
+    )
+    def test_tables(self, monkeypatch, flags, expected):
+        assert self.captured(monkeypatch, ["tables", "1", *flags]) == expected
 
 
 class TestHom:

@@ -1,7 +1,7 @@
 """Matroid kernel: construction, cryptomorphic families, revlex codec."""
 
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -15,6 +15,8 @@ from qmatroid.matroids import (
     RejectedExchangeAxiom,
     RejectedNotEqualCardinality,
     TooLarge,
+    _labels,
+    _mask,
     canonical_basis_masks,
     canonical_form,
     canonical_revlex_hex,
@@ -401,6 +403,93 @@ class TestCanonical:
                 for m in reps:
                     again = decode_revlex(canonical_revlex_hex(m), n, r)
                     assert canonical_basis_masks(again) == canonical_basis_masks(m)
+
+
+# The canonical forms as computed before they shared one search, kept verbatim
+# as references: one loop over relabelings for each form.
+
+
+def reference_canonical_basis_masks(m):
+    order_map = {x: i + 1 for i, x in enumerate(m.ground.elements)}
+    base = [tuple(order_map[x] for x in _labels(b)) for b in m.basis_masks]
+    n = m.n
+    best = None
+    for perm in permutations(range(1, n + 1)):
+        imgs = tuple(sorted(_mask(perm[x - 1] for x in b) for b in base))
+        if best is None or imgs < best:
+            best = imgs
+    assert best is not None
+    return best
+
+
+def reference_canonical_revlex_hex(m):
+    n = m.n
+    subsets = revlex_subsets(n, m.rank)
+    count = len(subsets)
+    position = {_mask(c): count - 1 - k for k, c in enumerate(subsets)}
+    order_map = {x: i + 1 for i, x in enumerate(m.ground.elements)}
+    base = [tuple(order_map[x] for x in _labels(b)) for b in m.basis_masks]
+    best = None
+    for perm in permutations(range(1, n + 1)):
+        value = 0
+        for b in base:
+            value |= 1 << position[_mask(perm[x - 1] for x in b)]
+        if best is None or value < best:
+            best = value
+    assert best is not None
+    width = (count + 3) // 4
+    return format(best, f"0{width}x")
+
+
+LABELLED = [m for n in range(1, 6) for m in enumerate_all_matroids(n)]
+
+
+def relabelled_copies(m):
+    """m on non-contiguous labels, once in order and once reversed."""
+    elems = m.ground.elements
+    spread = (2, 5, 7, 10, 13)[: len(elems)]
+    gaps = (1, 4, 6, 9, 11)[: len(elems)]
+    return [relabel(m, dict(zip(elems, spread))), relabel(m, dict(zip(elems, reversed(gaps))))]
+
+
+class TestCanonicalAgainstReference:
+    def test_universe(self):
+        assert len(LABELLED) == 497
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_both_forms_match(self, n):
+        for m in LABELLED:
+            if m.n != n:
+                continue
+            for copy in [m, *relabelled_copies(m)]:
+                assert canonical_basis_masks(copy) == reference_canonical_basis_masks(copy)
+                assert canonical_revlex_hex(copy) == reference_canonical_revlex_hex(copy)
+
+    def test_masks_are_the_relabeling_with_the_greatest_indicator(self):
+        for m in LABELLED:
+            elems = m.ground.elements
+            values = {
+                int(encode_revlex(relabel(m, dict(zip(elems, perm)))).hex, 16): perm
+                for perm in permutations(elems)
+            }
+            greatest = values[max(values)]
+            assert canonical_basis_masks(m) == tuple(
+                sorted(relabel(m, dict(zip(elems, greatest))).basis_masks)
+            )
+            least = values[min(values)]
+            assert canonical_revlex_hex(m) == encode_revlex(relabel(m, dict(zip(elems, least)))).hex
+
+    def test_up_to_iso_catalog_order(self):
+        for n in range(1, 6):
+            for r in range(n + 1):
+                reps = enumerate_matroids(n, r, up_to_iso=True)
+                keys = sorted({reference_canonical_basis_masks(m) for m in enumerate_matroids(n, r)})
+                assert [tuple(sorted(m.basis_masks)) for m in reps] == keys
+
+    def test_degree_guard(self):
+        for f in (canonical_basis_masks, canonical_form, canonical_revlex_hex):
+            with pytest.raises(TooLarge):
+                f(uniform(1, 10))
 
 
 class TestEnumeration:

@@ -243,6 +243,12 @@ class TestDecomposition:
         with pytest.raises(ValueError, match=re.escape(str(iso_key(u12)))):
             verify_decomposition(u12, u12, catalog2 + [relabel(u12, {1: 2, 2: 1})])
 
+    def test_ten_element_catalog_entry_is_refused_before_counting(self, catalog2):
+        # its key would need 10! relabelings; every map count here is small
+        u11 = uniform(1, 1)
+        with pytest.raises(TooLarge, match="relabeling search"):
+            verify_decomposition(u11, u11, catalog2 + [uniform(1, 10)])
+
 
 class TestLovaszProfileTest:
     def test_profiles_have_catalog_length(self, catalog2):
