@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .autgroup import automorphism_group
-from .groebner import EngineConfig
+from .groebner import DEFAULT_TIME_BUDGET, EngineConfig
 from .matroids import INFINITY, Matroid, canonical_revlex_hex, decode_revlex, enumerate_matroids
 from .quantum import decide_commutativity, quantum_aut_spec, theorem_shortcuts
 
@@ -60,20 +60,20 @@ class InternalInconsistency(RuntimeError):
 @dataclass(frozen=True)
 class RunConfig:
     degree_bound: int | None = None
-    time_budget: float | None = 600.0
+    time_budget: float | None = DEFAULT_TIME_BUDGET
     threads: int = 1
     shortcuts_enabled: bool = True
     axioms: tuple[str, ...] = ("bases", "circuits")
 
     def engine_config(self) -> EngineConfig:
         """Engine budgets, for every CLI subcommand: a time budget <= 0 means
-        none, and no bound at all means ten minutes, since a default degree
+        none, and no bound at all means DEFAULT_TIME_BUDGET, since a default degree
         bound would downgrade finishing runs to truncated."""
         time_budget = self.time_budget
         if time_budget is not None and time_budget <= 0:
             time_budget = None
         if self.degree_bound is None and time_budget is None:
-            return EngineConfig(time_budget=600.0)
+            return EngineConfig(time_budget=DEFAULT_TIME_BUDGET)
         return EngineConfig(degree_bound=self.degree_bound, time_budget=time_budget)
 
 

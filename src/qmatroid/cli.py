@@ -28,7 +28,7 @@ from .batch import (
     run_batch,
     write_tables,
 )
-from .groebner import EngineConfig, buchberger, stabilized_buchberger, write_gb
+from .groebner import DEFAULT_TIME_BUDGET, EngineConfig, buchberger, stabilized_buchberger, write_gb
 from .matroids import (
     INFINITY,
     MatroidError,
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="tables")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--degree-bound", type=int, default=None)
-    p.add_argument("--time-budget", type=float, default=600.0)
+    p.add_argument("--time-budget", type=float, default=DEFAULT_TIME_BUDGET)
     p.add_argument("--no-shortcuts", action="store_true")
     p.add_argument("--fixtures", help="file of `hex n r` lines to append")
     p.add_argument("--extended", action="store_true",

@@ -43,11 +43,14 @@ from .ncpoly import (
     NcPolynomial,
     VariableUniverseMismatch,
     ZeroPolynomial,
+    add_terms,
     as_coeff,
     normal_remainder,
-    normal_terms,
     poly_data,
 )
+
+# The wall-clock budget of a run that sets no bound of its own: ten minutes.
+DEFAULT_TIME_BUDGET = 600.0
 
 
 class InvalidObstruction(ValueError):
@@ -179,41 +182,31 @@ def s_polynomial(ob: Obstruction, f: NcPolynomial, g: NcPolynomial) -> NcPolynom
     gw = ob.g_left + g.leading_word() + ob.g_right
     if fw != gw:
         raise InvalidObstruction("placement words disagree")
-    lf = _shift(f, ob.f_left, ob.f_right, f.leading_coeff())
-    lg = _shift(g, ob.g_left, ob.g_right, g.leading_coeff())
-    terms = dict(lf)
-    for w, c in lg.items():
-        acc = as_coeff(terms.get(w, 0) - c)
-        if acc:
-            terms[w] = acc
-        else:
-            terms.pop(w, None)
+    terms = add_terms({}, f.terms.items(), 1 / Fraction(f.leading_coeff()), ob.f_left, ob.f_right)
+    add_terms(terms, g.terms.items(), -1 / Fraction(g.leading_coeff()), ob.g_left, ob.g_right)
     return NcPolynomial(f.alg, terms)
 
 
-def _shift(p: NcPolynomial, left: bytes, right: bytes, denom: Coeff) -> dict[bytes, Coeff]:
-    denom = Fraction(denom)
-    return {left + w + right: as_coeff(c / denom) for w, c in p.terms.items()}
-
-
-def _monic_data(alg: Algebra, terms: dict) -> tuple[NcPolynomial, tuple[bytes, Coeff, tuple]]:
-    """A nonzero kernel remainder made monic, with its poly_data, from one sort."""
-    terms = normal_terms(terms)
+def _monic(terms: dict) -> tuple[bytes, Coeff, tuple]:
+    """A nonzero kernel remainder as monic kernel data (lt, 1, tail), from one sort."""
     key = kernel.sort_key
     items = sorted(terms.items(), key=lambda item: key(item[0]), reverse=True)
     lt, lc = items[0]
-    if lc != 1:
-        lc = Fraction(lc)
-        terms = {w: as_coeff(c / lc) for w, c in terms.items()}
-        items = [(w, terms[w]) for w, _ in items]
-    return NcPolynomial(alg, terms), (lt, 1, tuple(items[1:]))
+    scale = 1 if lc == 1 else 1 / Fraction(lc)
+    return (lt, 1, tuple((w, as_coeff(scale * c)) for w, c in items[1:]))
+
+
+def _terms(data: tuple[bytes, Coeff, tuple]) -> dict[bytes, Coeff]:
+    """The term dict of a basis element in kernel form."""
+    lt, lc, tail = data
+    return dict(((lt, lc), *tail))
 
 
 class _Engine:
-    def __init__(self, alg: Algebra, config: EngineConfig):
-        self.alg = alg
+    """The basis under construction, kept in kernel form in reducer.data."""
+
+    def __init__(self, config: EngineConfig):
         self.config = config
-        self.polys: list[NcPolynomial] = []
         self.reducer = kernel.Reducer()
         # proper prefixes, proper suffixes and proper factors of the basis
         # leading words -> indices of the words that have them
@@ -281,7 +274,7 @@ class _Engine:
 
     def append(self, terms: dict) -> None:
         """Add a nonzero remainder from the kernel to the basis, made monic."""
-        p, data = _monic_data(self.alg, terms)
+        data = _monic(terms)
         lt = data[0]
         if not lt:
             # a nonzero constant: the ideal is the whole ring, buchberger
@@ -289,7 +282,7 @@ class _Engine:
             self.queue = []
             self.unit = True
             return
-        t = len(self.polys)
+        t = len(self.reducer.data)
         bound = self.config.degree_bound
         # same visiting order as a scan over every j, so the queue receives
         # the same entries with the same sequence numbers
@@ -303,7 +296,6 @@ class _Engine:
                     continue
                 heappush(self.queue, (deg, self.seq, (j, t, lf, rf, lg, rg)))
                 self.seq += 1
-        self.polys.append(p)
         self.reducer.append(data)
         self.index(lt, t)
         if not data[2]:
@@ -326,16 +318,10 @@ def buchberger(generators: Iterable[NcPolynomial], config: EngineConfig) -> Groe
         if g.alg != alg:
             raise VariableUniverseMismatch("generators live in different algebras")
     # deterministic feed order: by degree, then leading word, stable otherwise
-    seen: set[frozenset] = set()
-    ordered: list[NcPolynomial] = []
-    for g in gens:
-        key = frozenset(g.terms.items())
-        if key not in seen:
-            seen.add(key)
-            ordered.append(g)
+    ordered = list(dict.fromkeys(gens))
     ordered.sort(key=lambda g: kernel.sort_key(g.leading_word()))
 
-    eng = _Engine(alg, config)
+    eng = _Engine(config)
     status: GBStatus | None = None
 
     for g in ordered:
@@ -360,23 +346,12 @@ def buchberger(generators: Iterable[NcPolynomial], config: EngineConfig) -> Groe
             break
         deg, _, (j, t, lf, rf, lg, rg) = heappop(eng.queue)
         eng.iterations += 1
-        f = eng.reducer.data[j]
-        g = eng.reducer.data[t]
-        terms: dict[bytes, Coeff] = {}
-        for w, c in _iter_terms(f):
-            nw = lf + w + rf
-            acc = terms.get(nw, 0) + c
-            if acc:
-                terms[nw] = acc
-            else:
-                terms.pop(nw, None)
-        for w, c in _iter_terms(g):
-            nw = lg + w + rg
-            acc = terms.get(nw, 0) - c
-            if acc:
-                terms[nw] = acc
-            else:
-                terms.pop(nw, None)
+        data = eng.reducer.data
+        # both elements are monic and their leading words meet in one word,
+        # so the heads cancel and the S-polynomial is the difference of the
+        # shifted tails, whose words all lie below that common word
+        terms = add_terms({}, data[j][2], 1, lf, rf)
+        add_terms(terms, data[t][2], -1, lg, rg)
         if not terms:
             continue
         rem = eng.reducer.reduce(terms)
@@ -389,7 +364,10 @@ def buchberger(generators: Iterable[NcPolynomial], config: EngineConfig) -> Groe
     if status is None:
         status = GBStatus.truncated(config.degree_bound) if eng.discarded else GBStatus.complete()
 
-    basis = [alg.one()] if eng.unit else interreduce(eng.polys)
+    if eng.unit:
+        basis = [alg.one()]
+    else:
+        basis = interreduce([NcPolynomial(alg, _terms(d)) for d in eng.reducer.data])
     return GroebnerBasis(
         algebra=alg,
         generators=tuple(basis),
@@ -397,12 +375,6 @@ def buchberger(generators: Iterable[NcPolynomial], config: EngineConfig) -> Groe
         iterations=eng.iterations,
         wall_time=time.monotonic() - eng.start,
     )
-
-
-def _iter_terms(data: tuple[bytes, Coeff, tuple]) -> Iterable[tuple[bytes, Coeff]]:
-    lt, lc, tail = data
-    yield (lt, lc)
-    yield from tail
 
 
 def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
@@ -432,27 +404,26 @@ def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
     leading word takes other reduction paths, and on a set that is not a
     Groebner basis normal forms depend on the path: its output differs on
     some such inputs (TestInterreduce pins one).
+
+    The kept elements live only in the reducer, in kernel form; polynomials
+    are built from it once, on return.
     """
-    pending = [p.monic() for p in polys if not p.is_zero()]
+    pending = [p for p in polys if not p.is_zero()]
     if not pending:
         return []
     alg = pending[0].alg
-    heap = []
-    for seq, p in enumerate(pending):
-        lt = p.leading_word()
-        heap.append((kernel.sort_key(lt), seq, p))
+    heap = [(kernel.sort_key(p.leading_word()), seq, p.terms) for seq, p in enumerate(pending)]
     heapify(heap)
     seq = len(heap)
-    kept: list[NcPolynomial] = []
     reducer = kernel.Reducer()
     top = None  # sort key of the largest kept leading word
 
     while heap:
-        _, _, p = heappop(heap)
-        rem_terms = reducer.reduce(p.terms)
-        if not rem_terms:
+        _, _, terms = heappop(heap)
+        rem = reducer.reduce(terms)
+        if not rem:
             continue
-        x, xdata = _monic_data(alg, rem_terms)
+        xdata = _monic(rem)
         xlt = xdata[0]
         if not xlt:
             return [alg.one()]
@@ -460,32 +431,24 @@ def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
         evicted = []
         if top is not None and xkey < top:
             data = reducer.data
-            hit = [i for i, d in enumerate(data) if xlt in d[0]]
-            if hit:
-                evicted = [kept[i] for i in hit]
-                gone = set(hit)
-                kept = [g for i, g in enumerate(kept) if i not in gone]
-                reducer = kernel.Reducer(d for i, d in enumerate(data) if i not in gone)
+            evicted = [d for d in data if xlt in d[0]]
+            if evicted:
+                reducer = kernel.Reducer(d for d in data if xlt not in d[0])
                 top = max((kernel.sort_key(d[0]) for d in reducer.data), default=None)
-        kept.append(x)
         reducer.append(xdata)
         if top is None or xkey > top:
             top = xkey
-        for g in evicted:
-            heappush(heap, (kernel.sort_key(g.leading_word()), seq, g))
+        for d in evicted:
+            heappush(heap, (kernel.sort_key(d[0]), seq, _terms(d)))
             seq += 1
 
     data = reducer.data
-    order = sorted(range(len(kept)), key=lambda i: kernel.sort_key(data[i][0]))
+    order = sorted(range(len(data)), key=lambda i: kernel.sort_key(data[i][0]))
     for i in order:
         lt, lc, tail = data[i]
-        terms = normal_terms(reducer.reduce(dict(tail)))
-        terms[lt] = lc
-        p = NcPolynomial(alg, terms)
-        kept[i] = p
         # same leading word, so the reducer's automaton stays in step
-        data[i] = poly_data(p)
-    return [kept[i] for i in order]
+        data[i] = _monic({lt: lc, **reducer.reduce(dict(tail))})
+    return [NcPolynomial(alg, _terms(data[i])) for i in order]
 
 
 def stabilized_buchberger(
@@ -504,17 +467,9 @@ def stabilized_buchberger(
     gb_high = buchberger(generators, high)
     if gb_low.status.kind == "aborted" or gb_high.status.kind == "aborted":
         return gb_high, False
-    same = {frozenset(g.terms.items()) for g in gb_low.generators} == {
-        frozenset(g.terms.items()) for g in gb_high.generators
-    }
+    same = set(gb_low.generators) == set(gb_high.generators)
     if same and not gb_high.status.is_complete:
-        gb_high = GroebnerBasis(
-            algebra=gb_high.algebra,
-            generators=gb_high.generators,
-            status=GBStatus.complete(),
-            iterations=gb_high.iterations,
-            wall_time=gb_high.wall_time,
-        )
+        gb_high = replace(gb_high, status=GBStatus.complete())
     return gb_high, same
 
 

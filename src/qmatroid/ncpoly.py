@@ -51,6 +51,30 @@ def normal_terms(terms: Mapping[bytes, Coeff]) -> dict[bytes, Coeff]:
     return {w: c if type(c) is int else as_coeff(c) for w, c in terms.items()}
 
 
+def add_terms(
+    terms: dict[bytes, Coeff],
+    items: Iterable[tuple[bytes, Coeff]],
+    scale: Coeff = ONE,
+    left: bytes = b"",
+    right: bytes = b"",
+) -> dict[bytes, Coeff]:
+    """Add scale * left·w·right for each (w, c) of items into terms, in place.
+
+    Every sum is kept in as_coeff normal form and a zero sum drops its word,
+    so terms stays a valid polynomial term dict.  Returns terms.
+    """
+    for w, c in items:
+        w = left + w + right
+        acc = terms.get(w, ZERO) + scale * c
+        if type(acc) is not int:
+            acc = as_coeff(acc)
+        if acc:
+            terms[w] = acc
+        else:
+            terms.pop(w, None)
+    return terms
+
+
 class VariableUniverseMismatch(ValueError):
     pass
 
@@ -197,12 +221,7 @@ class Algebra:
                     coeff *= int(factor) if factor.isdecimal() else Fraction(factor)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ParseError(f"bad factor {factor!r} in {text!r}") from exc
-            w = bytes(letters)
-            acc = as_coeff(terms.get(w, ZERO) + coeff)
-            if acc:
-                terms[w] = acc
-            else:
-                terms.pop(w, None)
+            add_terms(terms, ((bytes(letters), coeff),))
         return NcPolynomial(self, terms)
 
 
@@ -236,14 +255,7 @@ class NcPolynomial:
         if not isinstance(other, NcPolynomial):
             return self + self.alg.constant(other)
         self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = as_coeff(terms.get(w, ZERO) + c)
-            if acc:
-                terms[w] = acc
-            else:
-                terms.pop(w, None)
-        return NcPolynomial(self.alg, terms)
+        return NcPolynomial(self.alg, add_terms(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -259,27 +271,17 @@ class NcPolynomial:
         return (-self) + other
 
     def __mul__(self, other) -> NcPolynomial:
-        if isinstance(other, (int, Fraction)):
-            c = as_coeff(other)
-            if not c:
-                return self.alg.zero()
-            return NcPolynomial(self.alg, {w: as_coeff(cv * c) for w, cv in self.terms.items()})
+        if not isinstance(other, NcPolynomial):
+            return NcPolynomial(self.alg, add_terms({}, self.terms.items(), as_coeff(other)))
         self._check(other)
         terms: dict[bytes, Coeff] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                acc = as_coeff(terms.get(w, ZERO) + c1 * c2)
-                if acc:
-                    terms[w] = acc
-                else:
-                    terms.pop(w, None)
+        for w, c in self.terms.items():
+            add_terms(terms, other.terms.items(), c, w)
         return NcPolynomial(self.alg, terms)
 
     def __rmul__(self, other) -> NcPolynomial:
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+        # a polynomial left operand is handled by its own __mul__
+        return self * other
 
     def __eq__(self, other) -> bool:
         return (
@@ -331,23 +333,16 @@ class NcPolynomial:
 
     def star(self) -> NcPolynomial:
         """Antilinear involution: reverse words; rational coefficients are fixed."""
-        terms: dict[bytes, Coeff] = {}
-        for w, c in self.terms.items():
-            terms[w[::-1]] = as_coeff(terms.get(w[::-1], ZERO) + c)
-        return NcPolynomial(self.alg, {w: c for w, c in terms.items() if c})
+        # reversal is injective on words, so no two terms meet
+        return NcPolynomial(self.alg, {w[::-1]: c for w, c in self.terms.items()})
 
     def map_labels(self, mapping: Mapping[int, int], target: Algebra) -> NcPolynomial:
         """Push the polynomial through a label renaming into a target algebra."""
-        terms: dict[bytes, Coeff] = {}
-        for w, c in self.terms.items():
-            pairs = [(mapping[v.row], mapping[v.col]) for v in self.alg.letters(w)]
-            nw = target.word(pairs)
-            acc = as_coeff(terms.get(nw, ZERO) + c)
-            if acc:
-                terms[nw] = acc
-            else:
-                terms.pop(nw, None)
-        return NcPolynomial(target, terms)
+        items = (
+            (target.word((mapping[v.row], mapping[v.col]) for v in self.alg.letters(w)), c)
+            for w, c in self.terms.items()
+        )
+        return NcPolynomial(target, add_terms({}, items))
 
     def __str__(self) -> str:
         return self.alg.format_poly(self)
@@ -409,14 +404,7 @@ def replay_trace(
     remainder: NcPolynomial,
 ) -> NcPolynomial:
     """Rebuild the reduced polynomial from a certificate: sum + remainder."""
-    alg = remainder.alg
     total = dict(remainder.terms)
     for q, left, idx, right in trace:
-        for w, c in basis[idx].terms.items():
-            nw = left + w + right
-            acc = as_coeff(total.get(nw, ZERO) + q * c)
-            if acc:
-                total[nw] = acc
-            else:
-                total.pop(nw, None)
-    return NcPolynomial(alg, total)
+        add_terms(total, basis[idx].terms.items(), q, left, right)
+    return NcPolynomial(remainder.alg, total)

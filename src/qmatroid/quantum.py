@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Iterable, Mapping
 
-from .groebner import EngineConfig, GroebnerBasis, buchberger
+from .groebner import DEFAULT_TIME_BUDGET, EngineConfig, GroebnerBasis, buchberger
 from .matroids import Matroid, TooLarge
 from .ncpoly import Algebra, NcPolynomial, normal_remainder
 
@@ -243,7 +243,7 @@ def decide_commutativity(
         if sc is not None:
             return sc
     if config is None:
-        config = EngineConfig(time_budget=600.0)
+        config = EngineConfig(time_budget=DEFAULT_TIME_BUDGET)
     gb = buchberger(spec.generators, config)
     for c in commutators(spec.algebra):
         nf = normal_remainder(c, gb.reducer)

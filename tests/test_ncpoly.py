@@ -14,6 +14,7 @@ from qmatroid.ncpoly import (
     Variable,
     VariableUniverseMismatch,
     ZeroPolynomial,
+    add_terms,
     normal_remainder,
     poly_data,
     replay_trace,
@@ -190,6 +191,12 @@ class TestArithmetic:
             (lambda a: (a.gen(1, 1) * a.gen(1, 2) * Fraction(4, 2)).star(), {b"\x01\x00": 2}),
             (lambda a: (Fraction(1, 2) * a.gen(1, 1) + Fraction(3, 2) * a.gen(2, 2)).map_labels(
                 {1: 1, 2: 1}, Algebra((1,))), {b"\x00": 2}),
+            (lambda a: a.gen(1, 1) + 0.5, {b"\x00": 1, b"": Fraction(1, 2)}),
+            (lambda a: a.gen(1, 1) * 0.5, {b"\x00": Fraction(1, 2)}),
+            (lambda a: 0.5 * a.gen(1, 1), {b"\x00": Fraction(1, 2)}),
+            (lambda a: 2.0 * a.gen(1, 1) * 0.5, {b"\x00": 1}),
+            (lambda a: a.gen(1, 1) * 0.0, {}),
+            (lambda a: 0 * a.gen(1, 1), {}),
         ],
     )
     def test_integral_coefficients_are_ints(self, alg2, build, expected):
@@ -204,6 +211,29 @@ class TestArithmetic:
             words = [w for w, _ in p.sorted_terms()]
             for w1, w2 in zip(words, words[1:]):
                 assert alg2.compare_words(w1, w2) == 1
+
+
+class TestAddTerms:
+    def test_adds_in_place_and_returns_the_same_dict(self):
+        terms = {b"\x00": 1}
+        assert add_terms(terms, [(b"\x01", 2)]) is terms
+        assert terms == {b"\x00": 1, b"\x01": 2}
+
+    def test_zero_sums_are_dropped(self):
+        terms = add_terms({b"\x00": 1, b"\x01": 2}, [(b"\x00", 1), (b"\x02", 0)], -1)
+        assert terms == {b"\x01": 2}
+
+    def test_integral_fraction_sum_is_an_int(self):
+        terms = add_terms({b"": Fraction(1, 3)}, [(b"", Fraction(2, 3))])
+        assert terms == {b"": 1} and type(terms[b""]) is int
+        terms = add_terms({}, [(b"\x00", 3)], Fraction(2, 3))
+        assert terms == {b"\x00": 2} and type(terms[b"\x00"]) is int
+
+    def test_left_and_right_shift_the_words(self):
+        terms = add_terms({}, [(b"\x01", 1), (b"", 2)], 1, b"\x00", b"\x03")
+        assert terms == {b"\x00\x01\x03": 1, b"\x00\x03": 2}
+        assert add_terms({}, [(b"\x01", 1)], left=b"\x02") == {b"\x02\x01": 1}
+        assert add_terms({}, [(b"\x01", 1)], right=b"\x02") == {b"\x01\x02": 1}
 
 
 class TestTextForm:
