@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from itertools import combinations
 
 from .autgroup import automorphism_group
 from .batch import (
@@ -32,6 +33,7 @@ from .groebner import DEFAULT_TIME_BUDGET, EngineConfig, buchberger, stabilized_
 from .matroids import (
     INFINITY,
     MatroidError,
+    _mask,
     decode_revlex,
     encode_revlex,
     new_matroid,
@@ -44,10 +46,9 @@ def _render_matroid(m, hexcode: str) -> str:
     lines = [f"n={m.n} r={m.rank}"]
     for b in sorted(tuple(sorted(b)) for b in m.bases):
         lines.append(",".join(str(x) for x in b))
-    nonbases = sorted(
-        tuple(sorted(c))
-        for c in (set(map(frozenset, _all_r_subsets(m))) - set(m.bases))
-    )
+    nonbases = [
+        c for c in combinations(m.ground.elements, m.rank) if _mask(c) not in m.basis_masks
+    ]
     rendered = " ".join(",".join(str(x) for x in nb) for nb in nonbases)
     lines.append(f"# hex={hexcode} bases={len(m.bases)} nonbases={m.nonbasis_count}")
     if nonbases:
@@ -55,12 +56,6 @@ def _render_matroid(m, hexcode: str) -> str:
     girth = m.girth()
     lines.append(f"# girth={'inf' if girth == INFINITY else girth}")
     return "\n".join(lines) + "\n"
-
-
-def _all_r_subsets(m):
-    from itertools import combinations
-
-    return combinations(m.ground.elements, m.rank)
 
 
 def cmd_decode(args) -> int:
@@ -101,25 +96,25 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _engine_config_from(args) -> EngineConfig:
+def _engine_config_from(args, degree_bound: int | None) -> EngineConfig:
     if getattr(args, "unbounded", False):
         return EngineConfig(unbounded=True)
-    return RunConfig(degree_bound=args.degree_bound, time_budget=args.time_budget).engine_config()
+    return RunConfig(degree_bound=degree_bound, time_budget=args.time_budget).engine_config()
 
 
 def cmd_gb(args) -> int:
     m = decode_revlex(args.hex, args.n, args.r)
     spec = quantum_aut_spec(m, args.axioms)
-    config = _engine_config_from(args)
     if args.stabilize:
         if args.degree_bound is None:
             raise ValueError("--stabilize needs an explicit --degree-bound")
-        gb, stabilized = stabilized_buchberger(
-            spec.generators, args.degree_bound, config
-        )
+        # stabilized_buchberger sets both degree bounds itself, so both runs
+        # get the budget of a run with no degree bound
+        config = _engine_config_from(args, None)
+        gb, stabilized = stabilized_buchberger(spec.generators, args.degree_bound, config)
         print(f"stabilized={'true' if stabilized else 'false'}")
     else:
-        gb = buchberger(spec.generators, config)
+        gb = buchberger(spec.generators, _engine_config_from(args, args.degree_bound))
     out = args.out or f"{args.hex}_{args.n}_{args.r}_{args.axioms}.gb"
     write_gb(gb, out, matroid_hex=args.hex, n=args.n, r=args.r, axioms=args.axioms)
     print(
@@ -132,7 +127,7 @@ def cmd_gb(args) -> int:
 def cmd_commutativity(args) -> int:
     m = decode_revlex(args.hex, args.n, args.r)
     spec = quantum_aut_spec(m, args.axioms)
-    config = _engine_config_from(args)
+    config = _engine_config_from(args, args.degree_bound)
     verdict = decide_commutativity(spec, config, shortcuts=not args.no_shortcuts)
     check_consistency(m, args.axioms, verdict.verdict, verdict.method)
     status = "shortcut" if verdict.gb is None else verdict.gb.status.render()

@@ -3,7 +3,11 @@
 A matroid is stored by its ground set and its family of bases; everything else
 (independent sets, rank, closure, flats, circuits, girth) is derived.  Subsets
 are bitmasks internally, with bit ``label - 1`` standing for ``label``; the
-public API speaks frozensets of integer labels.
+public API speaks frozensets of integer labels.  Per-subset queries (rank,
+independence, closure) scan the bases through Matroid._rank and build no
+table, since ground sets reach 31 labels.  The families over all subsets
+(flats, circuits) are read off one rank table over position masks, bit i for
+the i-th ground element, which strongmaps shares.
 
 The hex codec maps a matroid on ``{1..n}`` of rank ``r`` to a binary string of
 length ``C(n, r)`` whose k-th character (counting from the left) is ``1``
@@ -204,26 +208,25 @@ class Matroid:
             raise NotASubset(f"{sorted(set(subset))} is not a subset of the ground set")
         return m
 
+    def _rank(self, mask: int) -> int:
+        return max((b & mask).bit_count() for b in self.basis_masks)
+
     def rank_of(self, subset: Iterable[int]) -> int:
         """Rank of a subset: the largest intersection with a basis."""
-        m = self._subset_mask(subset)
-        return max((b & m).bit_count() for b in self.basis_masks)
+        return self._rank(self._subset_mask(subset))
 
     def is_independent(self, subset: Iterable[int]) -> bool:
         m = self._subset_mask(subset)
-        size = m.bit_count()
-        return any((b & m).bit_count() == size for b in self.basis_masks)
+        return self._rank(m) == m.bit_count()
 
     def closure(self, subset: Iterable[int]) -> frozenset[int]:
         """All elements whose addition does not raise the rank."""
         m = self._subset_mask(subset)
-        rk = max((b & m).bit_count() for b in self.basis_masks)
+        rk = self._rank(m)
         out = m
         for x in self.ground:
             bit = 1 << (x - 1)
-            if out & bit:
-                continue
-            if max((b & (m | bit)).bit_count() for b in self.basis_masks) == rk:
+            if not out & bit and self._rank(m | bit) == rk:
                 out |= bit
         return _fset(out)
 
@@ -240,47 +243,33 @@ class Matroid:
                 sub = (sub - 1) & b
         return SubsetFamily(frozenset(_fset(s) for s in seen), "independent")
 
+    def _positions_family(self, masks: Iterable[int], kind: str) -> SubsetFamily:
+        """Position masks (bit i for the i-th ground element) as label sets."""
+        elements = self.ground.elements
+        return SubsetFamily(
+            frozenset(frozenset(x for i, x in enumerate(elements) if s >> i & 1) for s in masks),
+            kind,
+        )
+
     def flats(self) -> SubsetFamily:
-        members = []
-        gm = self.ground.mask
-        for size in range(self.n + 1):
-            for combo in combinations(self.ground.elements, size):
-                m = _mask(combo)
-                rk = max((b & m).bit_count() for b in self.basis_masks)
-                closed = True
-                rest = gm & ~m
-                while rest:
-                    bit = rest & -rest
-                    rest &= rest - 1
-                    if max((b & (m | bit)).bit_count() for b in self.basis_masks) == rk:
-                        closed = False
-                        break
-                if closed:
-                    members.append(_fset(m))
-        return SubsetFamily(frozenset(members), "flat")
+        rank = _rank_table(_position_bases(self), self.n)
+        return self._positions_family(_flat_masks(rank), "flat")
 
     def circuits(self) -> SubsetFamily:
-        """Minimal dependent sets: dependent, every one-element deletion independent."""
-        members = []
-        for size in range(1, self.n + 1):
-            for combo in combinations(self.ground.elements, size):
-                m = _mask(combo)
-                if max((b & m).bit_count() for b in self.basis_masks) >= size:
-                    continue
-                minimal = True
-                for x in combo:
-                    sub = m & ~(1 << (x - 1))
-                    if max((b & sub).bit_count() for b in self.basis_masks) < size - 1:
-                        minimal = False
-                        break
-                if minimal:
-                    members.append(_fset(m))
-        return SubsetFamily(frozenset(members), "circuit")
+        """Minimal dependent sets: rank one below the size, every one-element
+        deletion of the same rank (so independent)."""
+        rank = _rank_table(_position_bases(self), self.n)
+        bits = [1 << i for i in range(self.n)]
+        circuits = (
+            s
+            for s, rk in enumerate(rank)
+            if rk == s.bit_count() - 1 and all(rank[s & ~bit] == rk for bit in bits if s & bit)
+        )
+        return self._positions_family(circuits, "circuit")
 
     def girth(self) -> int | float:
         """Size of the smallest circuit, or math.inf when none exists."""
-        sizes = [len(c) for c in self.circuits()]
-        return min(sizes) if sizes else INFINITY
+        return min((len(c) for c in self.circuits()), default=INFINITY)
 
     def loops(self) -> frozenset[int]:
         return frozenset(x for x in self.ground if self.rank_of([x]) == 0)
@@ -305,13 +294,12 @@ class Matroid:
         keep = self.ground.mask & ~dm
         if keep == 0:
             raise MatroidError("cannot delete the whole ground set")
-        new_rank = max((b & keep).bit_count() for b in self.basis_masks)
-        new_bases = set()
-        for combo in combinations(_labels(keep), new_rank):
-            m = _mask(combo)
-            if any((b & m).bit_count() == new_rank for b in self.basis_masks):
-                new_bases.add(m)
-        return Matroid(GroundSet(_labels(keep)), frozenset(new_bases), new_rank)
+        # a basis of the deletion is a largest trace of a basis on keep
+        new_rank = self._rank(keep)
+        new_bases = frozenset(
+            b & keep for b in self.basis_masks if (b & keep).bit_count() == new_rank
+        )
+        return Matroid(GroundSet(_labels(keep)), new_bases, new_rank)
 
     def restrict(self, labels: Iterable[int]) -> Matroid:
         keep = self._subset_mask(labels)
@@ -438,6 +426,21 @@ def _position_bases(m: Matroid) -> tuple[int, ...]:
     return tuple(
         sum(1 << i for i, x in enumerate(elements) if b >> (x - 1) & 1) for b in m.basis_masks
     )
+
+
+def _rank_table(bases: tuple[int, ...], n: int) -> list[int]:
+    """Rank of every mask over positions 0..n-1, from position-mask bases."""
+    return [max((b & s).bit_count() for b in bases) for s in range(1 << n)]
+
+
+def _flat_masks(rank: list[int]) -> list[int]:
+    """Flats of a rank table, ascending: every outside element raises the rank."""
+    n = len(rank).bit_length() - 1
+    return [
+        s
+        for s, rk in enumerate(rank)
+        if all(rank[s | 1 << i] > rk for i in range(n) if not s >> i & 1)
+    ]
 
 
 def _position_subsets(n: int, r: int) -> dict[int, tuple[int, ...]]:

@@ -33,6 +33,13 @@ from .ncpoly import Algebra, NcPolynomial, normal_remainder
 
 AXIOM_KINDS = ("bases", "circuits", "flats", "independent")
 
+_FAMILIES = {
+    "bases": lambda m: m.bases,
+    "circuits": Matroid.circuits,
+    "flats": Matroid.flats,
+    "independent": Matroid.independent_sets,
+}
+
 GENERATOR_CAP = 5_000_000
 
 
@@ -66,39 +73,18 @@ class TupleSet:
 
 
 def tuple_set(m: Matroid, kind: str) -> TupleSet:
-    """The tuple family a matroid contributes under one axiom system."""
+    """The tuple family a matroid contributes under one axiom system: every
+    ordering of every nonempty member, plus the circuits' diagonal pairs."""
     if kind not in AXIOM_KINDS:
         raise ValueError(f"axioms must be one of {AXIOM_KINDS}, got {kind!r}")
-    ground = m.ground.elements
-    by_length: dict[int, set[tuple[int, ...]]] = {}
-
-    def add(t: tuple[int, ...]) -> None:
-        by_length.setdefault(len(t), set()).add(t)
-
-    if kind == "independent":
-        for size in range(1, m.rank + 1):
-            for combo_perm in permutations(ground, size):
-                if m.is_independent(combo_perm):
-                    add(combo_perm)
-    elif kind == "bases":
-        if m.rank >= 1:
-            for b in m.bases:
-                for p in permutations(sorted(b)):
-                    add(p)
-    elif kind == "flats":
-        for f in m.flats():
-            if f:
-                for p in permutations(sorted(f)):
-                    add(p)
-    else:  # circuits
+    tuples = [t for s in _FAMILIES[kind](m) if s for t in permutations(s)]
+    if kind == "circuits":
         loops = m.loops()
-        for x in ground:
-            if x not in loops:
-                add((x, x))
-        for c in m.circuits():
-            for p in permutations(sorted(c)):
-                add(p)
-    return TupleSet(ground, kind, {k: frozenset(v) for k, v in by_length.items()})
+        tuples.extend((x, x) for x in m.ground if x not in loops)
+    by_length: dict[int, set[tuple[int, ...]]] = {}
+    for t in tuples:
+        by_length.setdefault(len(t), set()).add(t)
+    return TupleSet(m.ground.elements, kind, {k: frozenset(v) for k, v in by_length.items()})
 
 
 def qsym_ideal_generators(alg: Algebra) -> list[NcPolynomial]:

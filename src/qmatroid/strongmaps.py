@@ -50,7 +50,9 @@ from .autgroup import automorphism_group
 from .matroids import (
     Matroid,
     TooLarge,
+    _flat_masks,
     _position_bases,
+    _rank_table,
     canonical_basis_masks,
     enumerate_all_matroids,
     relabel,
@@ -166,12 +168,8 @@ class _Tables(NamedTuple):
 def _tables(m: AnyMatroid) -> _Tables:
     n = m.n
     bases = (0,) if isinstance(m, _EmptyMatroid) else _position_bases(m)
-    rank = [max((b & s).bit_count() for b in bases) for s in range(1 << n)]
-    flats = [
-        s
-        for s in range(1 << n)
-        if all(rank[s | 1 << i] > rank[s] for i in range(n) if not s >> i & 1)
-    ]
+    rank = _rank_table(bases, n)
+    flats = _flat_masks(rank)
     hyperplanes = tuple(f for f in flats if rank[f] == rank[-1] - 1)
     steps = []
     for k in range(n):

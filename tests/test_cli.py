@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
+import qmatroid.cli as cli_module
 from qmatroid.cli import main
-from qmatroid.groebner import EngineConfig, read_gb
+from qmatroid.groebner import DEFAULT_TIME_BUDGET, EngineConfig, read_gb
 
 FANO_HEX = "3f7eefd6f"
 
@@ -158,6 +159,34 @@ class TestGb:
         lines = out.splitlines()
         assert lines[0] == "stabilized=true"
         assert lines[1].startswith("status=complete degree=3 generators=78")
+
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [
+            ((), EngineConfig(time_budget=DEFAULT_TIME_BUDGET)),
+            (("--time-budget", "5"), EngineConfig(time_budget=5.0)),
+            (("--unbounded",), EngineConfig(unbounded=True)),
+        ],
+    )
+    def test_stabilize_keeps_the_unbounded_run_budget(
+        self, capsys, tmp_path, monkeypatch, extra, expected
+    ):
+        # the stabilization runs set their own degree bounds (d-1 and 2d-2),
+        # so the config must carry no bound of its own and the default budget
+        seen = []
+        real = cli_module.stabilized_buchberger
+
+        def capture(generators, degree_bound, config):
+            seen.append((degree_bound, config))
+            return real(generators, degree_bound, config)
+
+        monkeypatch.setattr(cli_module, "stabilized_buchberger", capture)
+        code, _, _ = run(
+            capsys, "gb", "3f", "4", "2", "--stabilize", "--degree-bound", "3",
+            *extra, "--out", str(tmp_path / "s.gb"),
+        )
+        assert code in (0, 4)
+        assert seen == [(3, expected)]
 
     def test_unbounded_flag(self, capsys, tmp_path):
         code, out, _ = run(

@@ -273,6 +273,64 @@ class TestFamilies:
         assert m.parallel_pairs()
 
 
+SPARSE_LABELS = (3, 5, 8, 13)
+
+
+def _sparse(m):
+    return relabel(m, dict(zip(m.ground.elements, SPARSE_LABELS)))
+
+
+def _sparse_cases():
+    """Every class with n <= 4 on labels from SPARSE_LABELS, restrictions of
+    the n = 4 classes, and direct sums shifted by an offset, so that no case
+    has ground set {1..n}."""
+    classes = [_sparse(m) for n in range(1, 5) for m in enumerate_all_matroids(n, up_to_iso=True)]
+    cases = [(f"class{i}", m) for i, m in enumerate(classes)]
+    for i, m in enumerate(c for c in classes if c.n == 4):
+        cases.append((f"restrict{i}a", m.restrict([5, 13])))
+        cases.append((f"restrict{i}b", m.restrict([3, 8, 13])))
+    small = [m for m in classes if m.n == 2]
+    for i, (a, b) in enumerate((a, b) for a in small for b in small):
+        cases.append((f"sum{i}", direct_sum(a, b, offset=10)))
+    return cases
+
+
+def _subsets(elements):
+    return [frozenset(c) for k in range(len(elements) + 1) for c in combinations(elements, k)]
+
+
+class TestFamiliesOnSparseLabels:
+    """flats, circuits, girth and closure against their definitions through
+    rank_of, on ground sets that are not {1..n}: position masks and label
+    masks differ there."""
+
+    @pytest.mark.parametrize("name, m", _sparse_cases())
+    def test_families_match_rank_definitions(self, name, m):
+        ground = m.ground.elements
+        assert ground != tuple(range(1, m.n + 1))
+        rank = {s: m.rank_of(s) for s in _subsets(ground)}
+        flats = {
+            s for s, r in rank.items() if all(rank[s | {x}] > r for x in ground if x not in s)
+        }
+        circuits = {
+            s
+            for s, r in rank.items()
+            if r < len(s) and all(rank[s - {x}] == len(s) - 1 for x in s)
+        }
+        assert m.flats().members == flats
+        assert m.circuits().members == circuits
+        assert m.girth() == min((len(c) for c in circuits), default=math.inf)
+        for s, r in rank.items():
+            assert m.closure(s) == {x for x in ground if rank[s | {x}] == r}
+
+    @pytest.mark.parametrize("keep", [(5, 13), (3, 8, 13), (3, 5, 8)])
+    def test_restrict_keeps_the_rank_function(self, keep):
+        for m in (_sparse(c) for c in enumerate_all_matroids(4, up_to_iso=True)):
+            minor = m.restrict(keep)
+            assert minor.ground.elements == keep
+            assert all(minor.rank_of(s) == m.rank_of(s) for s in _subsets(keep))
+
+
 class TestMinors:
     def test_delete_uniform(self):
         m = uniform(2, 4).delete([4])

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -11,7 +11,7 @@ import qmatroid.quantum as quantum_module
 from qmatroid import kernel
 from qmatroid.autgroup import automorphism_group
 from qmatroid.groebner import EngineConfig, buchberger
-from qmatroid.matroids import TooLarge, decode_revlex, uniform
+from qmatroid.matroids import TooLarge, decode_revlex, enumerate_all_matroids, uniform
 from qmatroid.ncpoly import Algebra, normal_remainder
 from qmatroid.quantum import (
     AXIOM_KINDS,
@@ -92,6 +92,37 @@ class TestTupleSets:
     def test_flat_tuples_skip_the_empty_flat(self):
         ts = tuple_set(uniform(2, 3), "flats")
         assert {k: len(v) for k, v in ts.by_length.items()} == {1: 3, 3: 6}
+
+    @pytest.mark.parametrize("kind", AXIOM_KINDS)
+    def test_every_small_class_matches_the_definitions(self, kind):
+        # the module docstring's definitions, tuple by tuple through rank_of;
+        # rank 0 and loops included
+        checked = 0
+        for n in range(1, 5):
+            for m in enumerate_all_matroids(n, up_to_iso=True):
+                ground = m.ground.elements
+                want: dict[int, set] = {}
+                for k in range(1, max(n, 2) + 1):  # diagonal pairs need k = 2
+                    for t in product(ground, repeat=k):
+                        s = set(t)
+                        r = m.rank_of(s)
+                        if len(s) < k:
+                            member = kind == "circuits" and k == 2 and r == 1
+                        elif kind == "independent":
+                            member = r == k
+                        elif kind == "bases":
+                            member = r == k == m.rank
+                        elif kind == "flats":
+                            member = all(m.rank_of(s | {x}) > r for x in ground if x not in s)
+                        else:
+                            member = r == k - 1 and all(m.rank_of(s - {x}) == k - 1 for x in s)
+                        if member:
+                            want.setdefault(k, set()).add(t)
+                ts = tuple_set(m, kind)
+                assert ts.ground == ground and ts.kind == kind
+                assert ts.by_length == {k: frozenset(v) for k, v in want.items()}, m
+                checked += 1
+        assert checked == 31
 
 
 class TestMismatchGenerators:
