@@ -3,8 +3,9 @@
 Subcommands: decode, encode, gb, commutativity, tables, hom.  Exit codes:
 0 success (any verdict), 2 invalid input, 3 internal inconsistency between a
 structure theorem and a completed basis; gb additionally returns 4 when the
-basis was truncated at the degree bound and 5 when the run was aborted by a
-budget.
+basis was truncated at the degree bound (some obstruction discarded above the
+bound did not reduce to zero against the final basis) and 5 when the run was
+aborted by a budget.
 
 The decode output doubles as the encode input format: a first line `n=<n>
 r=<r>` followed by one basis per line as comma-separated labels; lines
@@ -29,7 +30,7 @@ from .batch import (
     run_batch,
     write_tables,
 )
-from .groebner import DEFAULT_TIME_BUDGET, EngineConfig, buchberger, stabilized_buchberger, write_gb
+from .groebner import DEFAULT_TIME_BUDGET, EngineConfig, buchberger, write_gb
 from .matroids import (
     INFINITY,
     MatroidError,
@@ -96,25 +97,16 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _engine_config_from(args, degree_bound: int | None) -> EngineConfig:
+def _engine_config_from(args) -> EngineConfig:
     if getattr(args, "unbounded", False):
         return EngineConfig(unbounded=True)
-    return RunConfig(degree_bound=degree_bound, time_budget=args.time_budget).engine_config()
+    return RunConfig(degree_bound=args.degree_bound, time_budget=args.time_budget).engine_config()
 
 
 def cmd_gb(args) -> int:
     m = decode_revlex(args.hex, args.n, args.r)
     spec = quantum_aut_spec(m, args.axioms)
-    if args.stabilize:
-        if args.degree_bound is None:
-            raise ValueError("--stabilize needs an explicit --degree-bound")
-        # stabilized_buchberger sets both degree bounds itself, so both runs
-        # get the budget of a run with no degree bound
-        config = _engine_config_from(args, None)
-        gb, stabilized = stabilized_buchberger(spec.generators, args.degree_bound, config)
-        print(f"stabilized={'true' if stabilized else 'false'}")
-    else:
-        gb = buchberger(spec.generators, _engine_config_from(args, args.degree_bound))
+    gb = buchberger(spec.generators, _engine_config_from(args))
     out = args.out or f"{args.hex}_{args.n}_{args.r}_{args.axioms}.gb"
     write_gb(gb, out, matroid_hex=args.hex, n=args.n, r=args.r, axioms=args.axioms)
     print(
@@ -127,7 +119,7 @@ def cmd_gb(args) -> int:
 def cmd_commutativity(args) -> int:
     m = decode_revlex(args.hex, args.n, args.r)
     spec = quantum_aut_spec(m, args.axioms)
-    config = _engine_config_from(args, args.degree_bound)
+    config = _engine_config_from(args)
     verdict = decide_commutativity(spec, config, shortcuts=not args.no_shortcuts)
     check_consistency(m, args.axioms, verdict.verdict, verdict.method)
     status = "shortcut" if verdict.gb is None else verdict.gb.status.render()
@@ -216,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree-bound", type=int, default=None)
     p.add_argument("--time-budget", type=float, default=None)
     p.add_argument("--unbounded", action="store_true")
-    p.add_argument("--stabilize", action="store_true",
-                   help="run bounds d-1 and 2d-2 and compare")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gb)
 

@@ -17,20 +17,28 @@ factor in one scan.  A skipped input lies in the ideal of what was fed, and
 the reduced basis depends only on the ideal, so complete runs return the same
 basis.  Degree-bounded runs screen only inputs within the bound (see
 _Engine.screened); their bases then matched the unscreened engine on every
-ideal tried, and a run can only turn from truncated to complete, when skipped
-inputs were all that left obstructions beyond the bound.
+ideal tried.
 
-Budgets: a degree bound discards obstructions whose common word is longer
-(status TruncatedAtDegree), wall-clock and iteration budgets abort the run
-with the partial basis (status Aborted).  A truncated or aborted basis still
-proves ideal membership whenever a reduction reaches zero; only completeness
-claims need the Complete status.
+Budgets: a degree bound discards the obstructions whose common word is
+longer, and a wall-clock or iteration budget stops the run with the partial
+basis (status GBStatus.aborted("time") or GBStatus.aborted("iterations")).
+When the queue runs out, every discarded obstruction is reduced, in discard
+order, against the final engine basis.  If all of them reduce to zero the
+run is GBStatus.complete(): the engine never removes an element, every
+obstruction it processed reduced to zero against part of the final basis or
+left a remainder that joined it, and every input was fed or lies in the ideal
+of those fed, so by Buchberger's criterion (Bergman's diamond lemma) the
+engine basis is a Groebner basis and interreduction returns the reduced one,
+the same as an unbounded run.  The first nonzero remainder, or a time budget
+running out during this check, gives GBStatus.truncated(d).  A truncated or
+aborted basis still proves ideal membership whenever a reduction reaches
+zero; only completeness claims need the complete status.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -218,7 +226,8 @@ class _Engine:
         self.monomials = kernel.Automaton()
         self.queue: list = []
         self.seq = 0
-        self.discarded = False
+        # placements (j, t, lf, rf, lg, rg) dropped above the degree bound
+        self.discarded: list[tuple] = []
         self.iterations = 0
         self.start = time.monotonic()
         self.deadline = None if config.time_budget is None else self.start + config.time_budget
@@ -291,15 +300,27 @@ class _Engine:
             u = self.reducer.data[j][0] if not same else lt
             for lf, rf, lg, rg in kernel.overlap_obstructions(u, lt, same):
                 deg = len(lf) + len(u) + len(rf)
+                placement = (j, t, lf, rf, lg, rg)
                 if bound is not None and deg > bound:
-                    self.discarded = True
+                    self.discarded.append(placement)
                     continue
-                heappush(self.queue, (deg, self.seq, (j, t, lf, rf, lg, rg)))
+                heappush(self.queue, (deg, self.seq, placement))
                 self.seq += 1
         self.reducer.append(data)
         self.index(lt, t)
         if not data[2]:
             self.monomials.insert(lt)
+
+    def remainder(self, placement: tuple) -> dict:
+        """The S-polynomial of a placement, reduced against the current basis."""
+        j, t, lf, rf, lg, rg = placement
+        data = self.reducer.data
+        # both elements are monic and their leading words meet in one word,
+        # so the heads cancel and the S-polynomial is the difference of the
+        # shifted tails, whose words all lie below that common word
+        terms = add_terms({}, data[j][2], 1, lf, rf)
+        add_terms(terms, data[t][2], -1, lg, rg)
+        return self.reducer.reduce(terms) if terms else terms
 
 
 def buchberger(generators: Iterable[NcPolynomial], config: EngineConfig) -> GroebnerBasis:
@@ -344,17 +365,8 @@ def buchberger(generators: Iterable[NcPolynomial], config: EngineConfig) -> Groe
         if config.max_iterations is not None and eng.iterations >= config.max_iterations:
             status = GBStatus.aborted("iterations")
             break
-        deg, _, (j, t, lf, rf, lg, rg) = heappop(eng.queue)
+        rem = eng.remainder(heappop(eng.queue)[2])
         eng.iterations += 1
-        data = eng.reducer.data
-        # both elements are monic and their leading words meet in one word,
-        # so the heads cancel and the S-polynomial is the difference of the
-        # shifted tails, whose words all lie below that common word
-        terms = add_terms({}, data[j][2], 1, lf, rf)
-        add_terms(terms, data[t][2], -1, lg, rg)
-        if not terms:
-            continue
-        rem = eng.reducer.reduce(terms)
         if rem:
             eng.append(rem)
             if eng.unit:
@@ -362,7 +374,13 @@ def buchberger(generators: Iterable[NcPolynomial], config: EngineConfig) -> Groe
                 break
 
     if status is None:
-        status = GBStatus.truncated(config.degree_bound) if eng.discarded else GBStatus.complete()
+        # every input was fed, so a budget running out here leaves the run
+        # truncated, not aborted; the check adds nothing to iterations
+        status = GBStatus.complete()
+        for placement in eng.discarded:
+            if eng.out_of_time() or eng.remainder(placement):
+                status = GBStatus.truncated(config.degree_bound)
+                break
 
     if eng.unit:
         basis = [alg.one()]
@@ -449,28 +467,6 @@ def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
         # same leading word, so the reducer's automaton stays in step
         data[i] = _monic({lt: lc, **reducer.reduce(dict(tail))})
     return [NcPolynomial(alg, _terms(data[i])) for i in order]
-
-
-def stabilized_buchberger(
-    generators: Sequence[NcPolynomial], degree_bound: int, config: EngineConfig
-) -> tuple[GroebnerBasis, bool]:
-    """Run with bounds d-1 and 2d-2; equal truncated bases read as complete.
-
-    Returns the higher-bound basis and whether the two runs coincided; when
-    they did the returned basis carries Complete status.
-    """
-    if degree_bound < 2:
-        raise ValueError("stabilization needs a degree bound of at least 2")
-    low = replace(config, degree_bound=degree_bound - 1)
-    high = replace(config, degree_bound=2 * degree_bound - 2)
-    gb_low = buchberger(generators, low)
-    gb_high = buchberger(generators, high)
-    if gb_low.status.kind == "aborted" or gb_high.status.kind == "aborted":
-        return gb_high, False
-    same = set(gb_low.generators) == set(gb_high.generators)
-    if same and not gb_high.status.is_complete:
-        gb_high = replace(gb_high, status=GBStatus.complete())
-    return gb_high, same
 
 
 # -- serialization ------------------------------------------------------------

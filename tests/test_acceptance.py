@@ -37,7 +37,6 @@ from qmatroid.quantum import (
     decide_commutativity,
     eval_at_permutation,
     quantum_aut_spec,
-    quantum_symmetric_spec,
     theorem_shortcuts,
 )
 from qmatroid.strongmaps import (
@@ -360,7 +359,7 @@ def test_criterion_7_engine_micro_properties():
     replays = vanished = 0
     setups = [
         (quantum_aut_spec(uniform(2, 3), "bases"), EngineConfig(time_budget=120.0), True),
-        (quantum_symmetric_spec([1, 2, 3]), EngineConfig(degree_bound=2), False),
+        (quantum_aut_spec(uniform(2, 4), "bases"), EngineConfig(degree_bound=2), False),
     ]
     for spec, config, complete in setups:
         gb = buchberger(spec.generators, config)

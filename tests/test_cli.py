@@ -11,9 +11,8 @@ from pathlib import Path
 
 import pytest
 
-import qmatroid.cli as cli_module
 from qmatroid.cli import main
-from qmatroid.groebner import DEFAULT_TIME_BUDGET, EngineConfig, read_gb
+from qmatroid.groebner import EngineConfig, read_gb
 
 FANO_HEX = "3f7eefd6f"
 
@@ -142,51 +141,30 @@ class TestGb:
         assert "status=aborted(time)" in out
         assert (tmp_path / "fano.gb").exists()
 
-    def test_stabilize_needs_a_degree_bound(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "gb", "3f", "4", "2", "--stabilize",
-            "--out", str(tmp_path / "s.gb"),
-        )
-        assert code == 2
-        assert "--degree-bound" in err
-
-    def test_stabilized_agreement(self, capsys, tmp_path):
+    def test_unresolved_discards_stay_truncated(self, capsys, tmp_path):
+        # a discarded cubic obstruction of U(2,4) does not reduce to zero at
+        # bound 2, so the 63 elements found there are no complete basis (78)
+        out_path = tmp_path / "t.gb"
         code, out, _ = run(
-            capsys, "gb", "3f", "4", "2", "--stabilize",
-            "--degree-bound", "4", "--out", str(tmp_path / "s.gb"),
+            capsys, "gb", "3f", "4", "2", "--degree-bound", "2", "--out", str(out_path)
+        )
+        assert code == 4
+        assert out.strip() == (
+            f"status=truncated(2) degree=2 generators=63 file={out_path}"
+        )
+        _, gb = read_gb(str(out_path))
+        assert gb.status.render() == "truncated(2)"
+
+    def test_resolved_bound_writes_the_unbounded_basis(self, capsys, tmp_path):
+        bounded, unbounded = tmp_path / "b.gb", tmp_path / "u.gb"
+        code, out, _ = run(
+            capsys, "gb", "3f", "4", "2", "--degree-bound", "3", "--out", str(bounded)
         )
         assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "stabilized=true"
-        assert lines[1].startswith("status=complete degree=3 generators=78")
-
-    @pytest.mark.parametrize(
-        "extra, expected",
-        [
-            ((), EngineConfig(time_budget=DEFAULT_TIME_BUDGET)),
-            (("--time-budget", "5"), EngineConfig(time_budget=5.0)),
-            (("--unbounded",), EngineConfig(unbounded=True)),
-        ],
-    )
-    def test_stabilize_keeps_the_unbounded_run_budget(
-        self, capsys, tmp_path, monkeypatch, extra, expected
-    ):
-        # the stabilization runs set their own degree bounds (d-1 and 2d-2),
-        # so the config must carry no bound of its own and the default budget
-        seen = []
-        real = cli_module.stabilized_buchberger
-
-        def capture(generators, degree_bound, config):
-            seen.append((degree_bound, config))
-            return real(generators, degree_bound, config)
-
-        monkeypatch.setattr(cli_module, "stabilized_buchberger", capture)
-        code, _, _ = run(
-            capsys, "gb", "3f", "4", "2", "--stabilize", "--degree-bound", "3",
-            *extra, "--out", str(tmp_path / "s.gb"),
-        )
-        assert code in (0, 4)
-        assert seen == [(3, expected)]
+        assert out.startswith("status=complete degree=3 generators=78 ")
+        code, _, _ = run(capsys, "gb", "3f", "4", "2", "--out", str(unbounded))
+        assert code == 0
+        assert bounded.read_bytes() == unbounded.read_bytes()
 
     def test_unbounded_flag(self, capsys, tmp_path):
         code, out, _ = run(
@@ -236,6 +214,13 @@ class TestCommutativity:
         assert code == 0
         assert "verdict=unknown" in out
         assert "status=truncated(2)" in out
+
+    def test_resolved_bound_decides(self, capsys):
+        code, out, _ = run(
+            capsys, "commutativity", "3f", "4", "2", "--degree-bound", "3"
+        )
+        assert code == 0
+        assert "verdict=noncommutative method=groebner status=complete degree=3" in out
 
     def test_out_appends_tsv_lines(self, capsys, tmp_path):
         log = tmp_path / "runs.tsv"
@@ -331,6 +316,8 @@ class TestEngineBudgets:
             ([], EngineConfig(time_budget=600.0)),
             (["--time-budget", "0"], EngineConfig(time_budget=600.0)),
             (["--degree-bound", "3"], EngineConfig(degree_bound=3)),
+            (["--time-budget", "5"], EngineConfig(time_budget=5.0)),
+            (["--unbounded"], EngineConfig(unbounded=True)),
         ],
     )
     def test_gb(self, monkeypatch, flags, expected):

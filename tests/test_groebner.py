@@ -20,10 +20,9 @@ from qmatroid.groebner import (
     interreduce,
     read_gb,
     s_polynomial,
-    stabilized_buchberger,
     write_gb,
 )
-from qmatroid.matroids import enumerate_all_matroids, uniform
+from qmatroid.matroids import decode_revlex, encode_revlex, enumerate_all_matroids, uniform
 from qmatroid.ncpoly import (
     Algebra,
     NcPolynomial,
@@ -68,6 +67,37 @@ def assert_int_coefficients(polys) -> None:
     """Every coefficient of these integral polynomials is an int, not a Fraction or float."""
     for p in polys:
         assert all(type(c) is int for c in p.terms.values()), p
+
+
+# every class with n <= 4 under bases and circuits
+BOUNDED_CASES = [
+    (encode_revlex(m).hex, n, m.rank, kind)
+    for n in (1, 2, 3, 4)
+    for m in enumerate_all_matroids(n, up_to_iso=True)
+    for kind in ("bases", "circuits")
+]
+# less U(3,4) circuits and U(4,4) bases: their bounded runs take about 2 s
+# each, as long as all the other cases together
+BOUNDED_CASES.remove(("f", 4, 3, "circuits"))
+BOUNDED_CASES.remove(("1", 4, 4, "bases"))
+
+# the bounded runs among them whose discarded obstructions do not all resolve:
+# U(0,4) and U(1,4) under both systems, U(2,4) bases and U(4,4) circuits
+STAYS_TRUNCATED = {
+    ("1", 4, 0, "bases", 2),
+    ("1", 4, 0, "circuits", 2),
+    ("f", 4, 1, "bases", 2),
+    ("f", 4, 1, "circuits", 2),
+    ("3f", 4, 2, "bases", 2),
+    ("1", 4, 4, "circuits", 2),
+}
+
+
+def gb_text(gb: GroebnerBasis) -> str:
+    """The .gb file text of a basis, under a fixed header."""
+    buffer = io.StringIO()
+    write_gb(gb, buffer, matroid_hex="0", n=0, r=0, axioms="bases")
+    return buffer.getvalue()
 
 
 def assert_buchberger_criterion(gb: GroebnerBasis) -> None:
@@ -256,16 +286,21 @@ class TestBuchberger:
 
 
 class TestBudgets:
-    def test_degree_bound_reports_truncated(self, alg3):
-        gens = qsym_ideal_generators(alg3)
-        bounded = buchberger(gens, EngineConfig(degree_bound=2))
+    def test_degree_bound_reports_truncated(self, u24_generators, u24_gb, alg3):
+        bounded = buchberger(u24_generators, EngineConfig(degree_bound=2))
         assert bounded.status.kind == "truncated"
         assert bounded.status.degree == 2
         assert not bounded.status.is_complete
-        # discarded obstructions would all have reduced to zero here, so the
-        # basis itself coincides with the unbounded one
+        # a discarded cubic obstruction leaves a remainder: 63 of 78 elements
+        assert len(bounded.generators) == 63
+        assert len(u24_gb.generators) == 78
+        # every obstruction the bound discards on three labels reduces to
+        # zero, so that run is complete and equals the unbounded one
+        gens = qsym_ideal_generators(alg3)
+        resolved = buchberger(gens, EngineConfig(degree_bound=2))
+        assert resolved.status.is_complete
         complete = buchberger(gens, EngineConfig(time_budget=60.0))
-        assert set(bounded.generators) == set(complete.generators)
+        assert resolved.generators == complete.generators
 
     def test_iteration_cap_aborts(self, u24_generators):
         gb = buchberger(u24_generators, EngineConfig(max_iterations=3))
@@ -279,24 +314,54 @@ class TestBudgets:
         assert gb.status.reason == "time"
         assert gb.generators == ()
 
-    def test_truncated_basis_still_certifies_membership(self, alg3):
-        gens = qsym_ideal_generators(alg3)
+    def test_truncated_basis_still_certifies_membership(self, u24_generators):
+        gens = u24_generators
+        alg = gens[0].alg
         gb = buchberger(gens, EngineConfig(degree_bound=2))
         assert not gb.status.is_complete
-        u13 = alg3.gen(1, 3)
-        member = alg3.gen(2, 2) * gens[0] * u13 + gens[3]
+        u13 = alg.gen(1, 3)
+        member = alg.gen(2, 2) * gens[0] * u13 + gens[3]
         trace: list = []
         remainder = gb.reduce(member, trace)
         assert remainder.is_zero()
         rebuilt = remainder
         for q, left, idx, right in trace:
             step = (
-                alg3.poly({left: Fraction(1)})
+                alg.poly({left: Fraction(1)})
                 * gb.generators[idx]
-                * alg3.poly({right: Fraction(1)})
+                * alg.poly({right: Fraction(1)})
             )
             rebuilt = rebuilt + step * q
         assert rebuilt == member
+
+    def test_deadline_during_the_check_leaves_truncated(self, monkeypatch):
+        # every input was fed, so running out of time while the discarded
+        # obstructions are checked is a truncation, never an abort; the pair
+        # loop pops obstructions here, so the clock runs out after it
+        gens = quantum_aut_spec(decode_revlex("4", 3, 2), "bases").generators
+        config = EngineConfig(degree_bound=2)
+        assert buchberger(gens, config).status.is_complete
+        monkeypatch.setattr(
+            groebner_module._Engine,
+            "out_of_time",
+            lambda self: self.iterations > 0 and not self.queue,
+        )
+        gb = buchberger(gens, config)
+        assert gb.status == GBStatus.truncated(2)
+        assert gb.iterations > 0
+
+    @pytest.mark.parametrize("hexcode, n, r, kind", BOUNDED_CASES)
+    def test_bounded_run_is_complete_exactly_when_unbounded(self, hexcode, n, r, kind):
+        # at bound d_B, and at bound 2 where d_B is 3
+        gens = quantum_aut_spec(decode_revlex(hexcode, n, r), kind).generators
+        unbounded = buchberger(gens, EngineConfig(unbounded=True))
+        d = unbounded.max_degree
+        for bound in sorted({d, 2} if d == 3 else {d}):
+            gb = buchberger(gens, EngineConfig(degree_bound=bound))
+            assert gb.status.kind in ("complete", "truncated")
+            assert gb.status.is_complete == (gb_text(gb) == gb_text(unbounded)), bound
+            stays = (hexcode, n, r, kind, bound) in STAYS_TRUNCATED
+            assert gb.status.is_complete != stays, bound
 
 
 class TestQueueFairness:
@@ -459,6 +524,10 @@ class TestInputScreen:
                 continue
             assert screened.generators == full.generators, gens
             assert screened.status == full.status or screened.status.is_complete
+            # a complete claim survives exhaustive reverification
+            for gb in (screened, full):
+                if gb.status.is_complete:
+                    assert_buchberger_criterion(gb)
 
 
 class TestCompleteness:
@@ -561,38 +630,6 @@ class TestInterreduce:
             assert normal_remainder(g, reduced).is_zero()
 
 
-class TestStabilization:
-    def test_requires_bound_of_at_least_two(self, alg2):
-        with pytest.raises(ValueError):
-            stabilized_buchberger(
-                qsym_ideal_generators(alg2), 1, EngineConfig(time_budget=30.0)
-            )
-
-    def test_agreement_promotes_truncated_to_complete(self, alg2):
-        gb, same = stabilized_buchberger(
-            qsym_ideal_generators(alg2), 3, EngineConfig(time_budget=60.0)
-        )
-        assert same
-        assert gb.status.is_complete
-
-    def test_agreement_matches_unbounded_run(self, u24_generators, u24_gb):
-        gb, same = stabilized_buchberger(
-            u24_generators, 4, EngineConfig(time_budget=300.0)
-        )
-        assert same
-        assert gb.status.is_complete
-        assert set(gb.generators) == set(u24_gb.generators)
-
-    def test_disagreement_stays_truncated(self, u24_generators):
-        # bound 3 runs at degrees 2 and 4; degree 2 misses real cubic elements
-        gb, same = stabilized_buchberger(
-            u24_generators, 3, EngineConfig(time_budget=300.0)
-        )
-        assert not same
-        assert gb.status.kind == "truncated"
-        assert gb.status.degree == 4
-
-
 class TestStatusText:
     def test_render_parse_round_trip(self):
         for status in [
@@ -649,10 +686,10 @@ class TestSerialization:
         assert meta["axioms"] == "independent"
         assert set(loaded.generators) == set(gb.generators)
 
-    def test_truncated_status_survives_round_trip(self, alg3):
-        gb = buchberger(qsym_ideal_generators(alg3), EngineConfig(degree_bound=2))
+    def test_truncated_status_survives_round_trip(self, u24_generators):
+        gb = buchberger(u24_generators, EngineConfig(degree_bound=2))
         buffer = io.StringIO()
-        write_gb(gb, buffer, matroid_hex="7", n=3, r=1, axioms="independent")
+        write_gb(gb, buffer, matroid_hex="3f", n=4, r=2, axioms="bases")
         buffer.seek(0)
         _, loaded = read_gb(buffer)
         assert loaded.status == GBStatus.truncated(2)
