@@ -8,7 +8,7 @@ circuit-axioms quantum automorphism groups:
 - table2: both commutative
 - table3: bases commutative, circuits noncommutative
 - table4: bases noncommutative, circuits commutative
-- unknown: at least one verdict missing or undecided under the budget
+- unknown: at least one verdict undecided under the budget
 
 Output tables are a pure function of inputs and configuration when the runs
 are bounded by degree rather than wall time; rows are emitted sorted by
@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from .autgroup import automorphism_group
 from .groebner import DEFAULT_TIME_BUDGET, EngineConfig
 from .matroids import INFINITY, Matroid, canonical_revlex_hex, decode_revlex, enumerate_matroids
-from .quantum import decide_commutativity, quantum_aut_spec, theorem_shortcuts
+# re-exported, so batch callers can catch InternalInconsistency from here
+from .quantum import InternalInconsistency, decide_commutativity, quantum_aut_spec  # noqa: F401
 
 TABLE_NAMES = ("table1", "table2", "table3", "table4", "unknown")
 
@@ -53,17 +54,12 @@ COLUMNS = (
 )
 
 
-class InternalInconsistency(RuntimeError):
-    """A structure theorem and a completed basis computation disagree."""
-
-
 @dataclass(frozen=True)
 class RunConfig:
     degree_bound: int | None = None
     time_budget: float | None = DEFAULT_TIME_BUDGET
     threads: int = 1
     shortcuts_enabled: bool = True
-    axioms: tuple[str, ...] = ("bases", "circuits")
 
     def engine_config(self) -> EngineConfig:
         """Engine budgets, for every CLI subcommand: a time budget <= 0 means
@@ -109,37 +105,18 @@ class ResultRow:
         )
 
 
-def check_consistency(m: Matroid, axioms: str, verdict: str, method: str) -> None:
-    if method != "groebner" or verdict != "noncommutative":
-        return
-    shortcut = theorem_shortcuts(m, axioms)
-    if shortcut is not None and shortcut.verdict == "commutative":
-        raise InternalInconsistency(
-            f"{axioms} axioms: completed basis says noncommutative but "
-            f"{shortcut.method} proves commutative"
-        )
-
-
 def run_matroid(m: Matroid, hexcode: str, config: RunConfig) -> ResultRow:
     """Full pipeline for one matroid: invariants, verdicts, degree, status."""
     start = time.perf_counter()
-    verdicts: dict[str, str] = {}
-    statuses: dict[str, str] = {}
-    d_b: int | None = None
-    for axioms in config.axioms:
-        spec = quantum_aut_spec(m, axioms)
-        v = decide_commutativity(
-            spec, config.engine_config(), shortcuts=config.shortcuts_enabled
+    by_bases, by_circuits = (
+        decide_commutativity(
+            quantum_aut_spec(m, axioms),
+            config.engine_config(),
+            shortcuts=config.shortcuts_enabled,
         )
-        check_consistency(m, axioms, v.verdict, v.method)
-        verdicts[axioms] = v.verdict
-        if v.gb is None:
-            statuses[axioms] = "shortcut"
-        else:
-            statuses[axioms] = v.gb.status.render()
-        if axioms == "bases" and v.gb is not None and v.gb.status.is_complete:
-            d_b = v.gb.max_degree
-    status = statuses.get("bases") or next(iter(statuses.values()), "-")
+        for axioms in ("bases", "circuits")
+    )
+    complete = by_bases.gb is not None and by_bases.gb.status.is_complete
     return ResultRow(
         hex=hexcode,
         n=m.n,
@@ -147,10 +124,10 @@ def run_matroid(m: Matroid, hexcode: str, config: RunConfig) -> ResultRow:
         girth=m.girth(),
         nonbases=m.nonbasis_count,
         aut_order=automorphism_group(m).order,
-        d_B=d_b,
-        verdict_B=verdicts.get("bases"),
-        verdict_C=verdicts.get("circuits"),
-        status=status,
+        d_B=by_bases.gb.max_degree if complete else None,
+        verdict_B=by_bases.verdict,
+        verdict_C=by_circuits.verdict,
+        status=by_bases.status,
         wall_time=time.perf_counter() - start,
     )
 

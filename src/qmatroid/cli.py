@@ -19,11 +19,8 @@ import contextlib
 import sys
 from itertools import combinations
 
-from .autgroup import automorphism_group
 from .batch import (
-    InternalInconsistency,
     RunConfig,
-    check_consistency,
     enumerate_jobs,
     parse_fixtures,
     partition_rows,
@@ -39,7 +36,7 @@ from .matroids import (
     encode_revlex,
     new_matroid,
 )
-from .quantum import AXIOM_KINDS, decide_commutativity, quantum_aut_spec
+from .quantum import AXIOM_KINDS, InternalInconsistency, decide_commutativity, quantum_aut_spec
 from .strongmaps import hom_counts, iso_class_catalog, lovasz_isomorphism_test, verify_decomposition
 
 
@@ -121,13 +118,11 @@ def cmd_commutativity(args) -> int:
     spec = quantum_aut_spec(m, args.axioms)
     config = _engine_config_from(args)
     verdict = decide_commutativity(spec, config, shortcuts=not args.no_shortcuts)
-    check_consistency(m, args.axioms, verdict.verdict, verdict.method)
-    status = "shortcut" if verdict.gb is None else verdict.gb.status.render()
     degree = "-" if verdict.gb is None else str(verdict.gb.max_degree)
     print(f"matroid={args.hex} n={args.n} r={args.r} axioms={args.axioms}")
     print(
         f"verdict={verdict.verdict} method={verdict.method} "
-        f"status={status} degree={degree}"
+        f"status={verdict.status} degree={degree}"
     )
     if verdict.witness is not None:
         c, nf = verdict.witness
@@ -137,7 +132,7 @@ def cmd_commutativity(args) -> int:
         with open(args.out, "a", encoding="utf-8") as fh:
             fh.write(
                 f"{args.hex}\t{args.n}\t{args.r}\t{args.axioms}\t"
-                f"{verdict.verdict}\t{verdict.method}\t{status}\t{degree}\n"
+                f"{verdict.verdict}\t{verdict.method}\t{verdict.status}\t{degree}\n"
             )
     return 0
 

@@ -55,6 +55,10 @@ class HasLoops(ValueError):
     pass
 
 
+class InternalInconsistency(RuntimeError):
+    """A structure theorem and a completed basis computation disagree."""
+
+
 @dataclass(frozen=True, eq=False)
 class TupleSet:
     """Distinguished tuples of one axiom kind, grouped by length."""
@@ -196,6 +200,11 @@ class CommutativityVerdict:
     witness: tuple[NcPolynomial, NcPolynomial] | None = None
     gb: GroebnerBasis | None = None
 
+    @property
+    def status(self) -> str:
+        """The status column: "shortcut" for a theorem verdict, else the basis status."""
+        return "shortcut" if self.gb is None else self.gb.status.render()
+
 
 def theorem_shortcuts(m: Matroid, axioms: str) -> CommutativityVerdict | None:
     """Verdicts that follow from structure theorems without any computation.
@@ -221,10 +230,14 @@ def decide_commutativity(
 
     A zero normal form of every commutator proves commutativity for any basis
     status (reduction to zero certifies ideal membership).  A nonzero normal
-    form proves noncommutativity only against a Complete basis; against a
-    truncated or aborted basis the answer is unknown.
+    form proves noncommutativity only against a complete basis; against a
+    truncated or aborted basis the answer is unknown.  Raises
+    InternalInconsistency when a complete basis says noncommutative but a
+    structure theorem (theorem_shortcuts) proves the spec's matroid and axiom
+    system commutative.
     """
-    if shortcuts and spec.matroid is not None and spec.axioms is not None:
+    known = spec.matroid is not None and spec.axioms is not None
+    if shortcuts and known:
         sc = theorem_shortcuts(spec.matroid, spec.axioms)
         if sc is not None:
             return sc
@@ -234,9 +247,16 @@ def decide_commutativity(
     for c in commutators(spec.algebra):
         nf = normal_remainder(c, gb.reducer)
         if not nf.is_zero():
-            if gb.status.is_complete:
-                return CommutativityVerdict("noncommutative", "groebner", (c, nf), gb)
-            return CommutativityVerdict("unknown", "groebner", (c, nf), gb)
+            if not gb.status.is_complete:
+                return CommutativityVerdict("unknown", "groebner", (c, nf), gb)
+            # with shortcuts on, the theorems were consulted above and said nothing
+            sc = theorem_shortcuts(spec.matroid, spec.axioms) if known and not shortcuts else None
+            if sc is not None and sc.verdict == "commutative":
+                raise InternalInconsistency(
+                    f"{spec.axioms} axioms: completed basis says noncommutative but "
+                    f"{sc.method} proves commutative"
+                )
+            return CommutativityVerdict("noncommutative", "groebner", (c, nf), gb)
     return CommutativityVerdict("commutative", "groebner", None, gb)
 
 

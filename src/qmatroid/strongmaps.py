@@ -20,7 +20,7 @@ order, carrying one partial preimage per target hyperplane.  A branch is
 pruned as soon as a partial preimage is not the trace of any source flat on
 the elements assigned so far, since no completion can then make it a flat.
 Each public call builds the bitmask tables of its matroids (flats,
-hyperplanes, bases, ranks) once and drops them when it returns.  No cache
+hyperplanes, ranks) once and drops them when it returns.  No cache
 outlives a call: repeating a call repeats its work, and no matroid or
 catalog is changed.
 
@@ -157,7 +157,6 @@ class _Tables(NamedTuple):
     """One matroid as position masks: bit i stands for the i-th ground element."""
 
     n: int
-    bases: tuple[int, ...]
     rank: list[int]  # rank of every position mask
     hyperplanes: tuple[int, ...]
     # steps[k][p], for p the trace of a flat on positions below k: bit 0 is
@@ -178,7 +177,7 @@ def _tables(m: AnyMatroid) -> _Tables:
         steps.append(
             {f & below: (f & below in traces) | (f & below | 1 << k in traces) << 1 for f in flats}
         )
-    return _Tables(n, bases, rank, hyperplanes, tuple(steps))
+    return _Tables(n, rank, hyperplanes, tuple(steps))
 
 
 def _check_cap(n1: int, n2: int) -> None:
@@ -232,23 +231,17 @@ def _strong_assignments(t1: _Tables, t2: _Tables) -> Iterator[tuple[tuple[int, .
 
 def _count(t1: _Tables, t2: _Tables) -> tuple[int, int, int, dict[int, int]]:
     """hom, surj and emb, with the number of strong maps per image mask."""
-    n1 = t1.n
     by_image: dict[int, int] = {}
-    restricted: dict[int, frozenset[int]] = {}
-    emb = 0
-    for values, image in _strong_assignments(t1, t2):
+    for _, image in _strong_assignments(t1, t2):
         by_image[image] = by_image.get(image, 0) + 1
-        # n1 image elements: injective and nothing sent to the basepoint
-        if image.bit_count() == n1:
-            if image not in restricted:
-                r = t2.rank[image]
-                restricted[image] = frozenset(
-                    b & image for b in t2.bases if (b & image).bit_count() == r
-                )
-            bits = [1 << (c - 1) for c in values]
-            mapped = {sum(bits[i] for i in range(n1) if b >> i & 1) for b in t1.bases}
-            if mapped == restricted[image]:
-                emb += 1
+    # n1 image elements: injective and nothing sent to the basepoint; such a
+    # strong map is an embedding exactly when it keeps the source's rank,
+    # since a strong bijection between equal-rank matroids is an isomorphism
+    emb = sum(
+        count
+        for image, count in by_image.items()
+        if image.bit_count() == t1.n and t2.rank[image] == t1.rank[-1]
+    )
     full = (1 << t2.n) - 1
     return sum(by_image.values()), by_image.get(full, 0), emb, by_image
 
@@ -275,19 +268,15 @@ class HomCounts:
 
 def hom_counts(m1: AnyMatroid, m2: AnyMatroid) -> HomCounts:
     """Count strong maps m1 -> m2, the surjective ones, and the embeddings."""
-    if isinstance(m1, _EmptyMatroid):
-        surj = 1 if isinstance(m2, _EmptyMatroid) else 0
-        return HomCounts(1, surj, 1, ((EMPTY_KEY, 1),))
-    if isinstance(m2, _EmptyMatroid):
-        # only the all-to-basepoint map; its preimage of the empty flat is E1
-        return HomCounts(1, 1, 0, ((EMPTY_KEY, 1),))
     _check_cap(m1.n, m2.n)
-    elements = m2.ground.elements
     hom, surj, emb, by_image = _count(_tables(m1), _tables(m2))
     by_class: dict[tuple[int, tuple[int, ...]], int] = {}
     for image, count in by_image.items():
-        labels = [x for i, x in enumerate(elements) if image >> i & 1]
-        key = iso_key(m2.restrict(labels)) if labels else EMPTY_KEY
+        if image:
+            labels = [x for i, x in enumerate(m2.ground.elements) if image >> i & 1]
+            key = iso_key(m2.restrict(labels))
+        else:
+            key = EMPTY_KEY
         by_class[key] = by_class.get(key, 0) + count
     return HomCounts(hom, surj, emb, tuple(sorted(by_class.items())))
 

@@ -12,7 +12,6 @@ from qmatroid.batch import (
     InternalInconsistency,
     ResultRow,
     RunConfig,
-    check_consistency,
     enumerate_jobs,
     parse_fixtures,
     partition_rows,
@@ -58,7 +57,6 @@ class TestRunConfig:
         assert config.time_budget == 600.0
         assert config.threads == 1
         assert config.shortcuts_enabled
-        assert config.axioms == ("bases", "circuits")
 
     def test_engine_config_passthrough(self):
         ec = RunConfig(degree_bound=5, time_budget=30.0).engine_config()
@@ -147,20 +145,6 @@ class TestParseFixtures:
             parse_fixtures(str(path))
 
 
-class TestCheckConsistency:
-    def test_silent_when_no_theorem_applies(self):
-        check_consistency(uniform(2, 4), "bases", "noncommutative", "groebner")
-        check_consistency(uniform(3, 4), "bases", "commutative", "groebner")
-        check_consistency(uniform(3, 4), "circuits", "noncommutative", "groebner")
-        check_consistency(uniform(3, 4), "bases", "noncommutative", "theorem-shortcut:girth")
-
-    def test_raises_on_contradiction(self):
-        with pytest.raises(InternalInconsistency):
-            check_consistency(uniform(3, 4), "bases", "noncommutative", "groebner")
-        with pytest.raises(InternalInconsistency):
-            check_consistency(uniform(2, 4), "flats", "noncommutative", "groebner")
-
-
 class TestRunMatroid:
     def test_full_pipeline_row(self):
         row = run_matroid(uniform(2, 4), "3f", RunConfig())
@@ -177,12 +161,14 @@ class TestRunMatroid:
         assert row.status == "shortcut"
         assert row.verdict_C == "commutative"
 
-    def test_single_axiom_run_falls_back_for_status(self):
-        row = run_matroid(uniform(2, 2), "1", RunConfig(axioms=("circuits",)))
-        assert row.verdict_B is None
+    def test_verdicts_are_checked_against_the_theorems(self, contradicting_engine):
+        with pytest.raises(InternalInconsistency, match="^bases axioms"):
+            run_matroid(uniform(3, 4), "f", RunConfig(shortcuts_enabled=False))
+
+    def test_free_matroid_renders_infinite_girth(self):
+        row = run_matroid(uniform(2, 2), "1", RunConfig())
         assert row.girth == INFINITY
         assert row.cells()[3] == "inf"
-        assert row.status == "complete"
 
 
 class TestPartitionRows:

@@ -207,6 +207,12 @@ class TestCommutativity:
         assert code == 0
         assert "verdict=commutative method=groebner" in out
 
+    def test_theorem_contradiction_exits_three(self, capsys, contradicting_engine):
+        code, out, err = run(capsys, "commutativity", "f", "4", "3", "bases", "--no-shortcuts")
+        assert code == 3
+        assert err.startswith("inconsistency: ")
+        assert out == ""
+
     def test_partial_run_reports_unknown(self, capsys):
         code, out, _ = run(
             capsys, "commutativity", "3f", "4", "2", "--degree-bound", "2"

@@ -16,6 +16,7 @@ from qmatroid.ncpoly import Algebra, normal_remainder
 from qmatroid.quantum import (
     AXIOM_KINDS,
     HasLoops,
+    InternalInconsistency,
     LabelOverlap,
     WrongRank,
     commutators,
@@ -204,10 +205,12 @@ class TestTheoremShortcuts:
         fast = decide_commutativity(spec)
         assert fast.method == "theorem-shortcut:girth"
         assert fast.gb is None
+        assert fast.status == "shortcut"
         slow = decide_commutativity(
             spec, EngineConfig(time_budget=120.0), shortcuts=False
         )
         assert slow.method == "groebner"
+        assert slow.status == "complete"
         assert slow.verdict == fast.verdict == "commutative"
 
 
@@ -225,6 +228,7 @@ class TestDecideCommutativity:
         assert big.gb.status.is_complete
 
     def test_noncommutative_witness_is_a_nonreducible_commutator(self):
+        # no theorem covers U(2,4) bases, so the verdict passes its cross-check
         spec = quantum_aut_spec(uniform(2, 4), "bases")
         v = decide_commutativity(spec, EngineConfig(time_budget=300.0), shortcuts=False)
         assert v.verdict == "noncommutative"
@@ -280,6 +284,19 @@ class TestDecideCommutativity:
             assert all(basis is built[0] for basis in calls)
             if verdict == "commutative":
                 assert len(calls) == len(commutators(spec.algebra))
+
+    @pytest.mark.parametrize("r,axioms", [(3, "bases"), (2, "flats")])
+    def test_verdict_contradicting_a_theorem_raises(self, contradicting_engine, r, axioms):
+        # girth 4 forces U(3,4) bases commutative; flats are always classical
+        spec = quantum_aut_spec(uniform(r, 4), axioms)
+        with pytest.raises(InternalInconsistency, match=f"^{axioms} axioms: completed basis"):
+            decide_commutativity(spec, shortcuts=False)
+
+    def test_verdict_no_theorem_covers_stands(self, contradicting_engine):
+        spec = quantum_aut_spec(uniform(3, 4), "circuits")
+        v = decide_commutativity(spec, shortcuts=False)
+        assert v.verdict == "noncommutative"
+        assert v.status == "complete"
 
     def test_partial_basis_cannot_claim_noncommutativity(self):
         spec = quantum_aut_spec(uniform(2, 4), "bases")
