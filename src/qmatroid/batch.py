@@ -179,13 +179,7 @@ def _run_job(args: tuple[str, int, int, RunConfig]) -> ResultRow:
 
 def run_batch(jobs: list[tuple[str, int, int]], config: RunConfig) -> list[ResultRow]:
     """Run all jobs, across a process pool when configured, and sort rows."""
-    seen = set()
-    ordered = []
-    for job in jobs:
-        if job not in seen:
-            seen.add(job)
-            ordered.append(job)
-    payload = [(h, n, r, config) for h, n, r in ordered]
+    payload = [(h, n, r, config) for h, n, r in dict.fromkeys(jobs)]
     if config.threads > 1:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
             rows = list(pool.map(_run_job, payload))

@@ -38,6 +38,7 @@ zero; only completeness claims need the complete status.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -472,6 +473,11 @@ def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
 # -- serialization ------------------------------------------------------------
 
 
+def _opened(fp, mode: str):
+    """A path is opened here and closed on exit; an open stream is left open."""
+    return open(fp, mode, encoding="utf-8") if isinstance(fp, str) else nullcontext(fp)
+
+
 def write_gb(
     gb: GroebnerBasis,
     fp,
@@ -482,25 +488,18 @@ def write_gb(
     axioms: str,
 ) -> None:
     """Write the basis file: a one-line header, then one generator per line."""
-    own = isinstance(fp, str)
-    stream = open(fp, "w", encoding="utf-8") if own else fp
-    try:
+    with _opened(fp, "w") as stream:
         stream.write(
             f"matroid={matroid_hex} n={n} r={r} axioms={axioms} "
             f"order={gb.order} status={gb.status.render()} degree={gb.max_degree}\n"
         )
         for g in gb.generators:
             stream.write(gb.algebra.format_poly(g) + "\n")
-    finally:
-        if own:
-            stream.close()
 
 
 def read_gb(fp) -> tuple[dict, GroebnerBasis]:
     """Parse a basis file back into (header fields, GroebnerBasis)."""
-    own = isinstance(fp, str)
-    stream = open(fp, "r", encoding="utf-8") if own else fp
-    try:
+    with _opened(fp, "r") as stream:
         header = stream.readline().strip()
         fields: dict[str, str] = {}
         for part in header.split():
@@ -513,20 +512,17 @@ def read_gb(fp) -> tuple[dict, GroebnerBasis]:
             line = line.strip()
             if line:
                 gens.append(alg.parse_poly(line))
-        gb = GroebnerBasis(
-            algebra=alg,
-            generators=tuple(gens),
-            status=GBStatus.parse(fields["status"]),
-            order=fields.get("order", "degrevlex"),
-        )
-        meta = {
-            "matroid": fields["matroid"],
-            "n": n,
-            "r": int(fields["r"]),
-            "axioms": fields["axioms"],
-            "degree": int(fields["degree"]),
-        }
-        return meta, gb
-    finally:
-        if own:
-            stream.close()
+    gb = GroebnerBasis(
+        algebra=alg,
+        generators=tuple(gens),
+        status=GBStatus.parse(fields["status"]),
+        order=fields.get("order", "degrevlex"),
+    )
+    meta = {
+        "matroid": fields["matroid"],
+        "n": n,
+        "r": int(fields["r"]),
+        "axioms": fields["axioms"],
+        "degree": int(fields["degree"]),
+    }
+    return meta, gb

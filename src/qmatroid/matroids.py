@@ -141,27 +141,6 @@ class GroundSet:
 
 
 @dataclass(frozen=True)
-class SubsetFamily:
-    """A finite family of subsets tagged with what it collects."""
-
-    members: frozenset[frozenset[int]]
-    kind: str
-
-    def __iter__(self) -> Iterator[frozenset[int]]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, subset: object) -> bool:
-        if isinstance(subset, frozenset):
-            return subset in self.members
-        if isinstance(subset, (set, tuple, list)):
-            return frozenset(subset) in self.members
-        return False
-
-
-@dataclass(frozen=True)
 class RevlexCode:
     """Hex rendering of a basis indicator string, together with (n, r)."""
 
@@ -232,7 +211,7 @@ class Matroid:
 
     # -- derived families --------------------------------------------------
 
-    def independent_sets(self) -> SubsetFamily:
+    def independent_sets(self) -> frozenset[frozenset[int]]:
         seen: set[int] = set()
         for b in self.basis_masks:
             sub = b
@@ -241,21 +220,18 @@ class Matroid:
                 if sub == 0:
                     break
                 sub = (sub - 1) & b
-        return SubsetFamily(frozenset(_fset(s) for s in seen), "independent")
+        return frozenset(_fset(s) for s in seen)
 
-    def _positions_family(self, masks: Iterable[int], kind: str) -> SubsetFamily:
+    def _positions_family(self, masks: Iterable[int]) -> frozenset[frozenset[int]]:
         """Position masks (bit i for the i-th ground element) as label sets."""
         elements = self.ground.elements
-        return SubsetFamily(
-            frozenset(frozenset(x for i, x in enumerate(elements) if s >> i & 1) for s in masks),
-            kind,
-        )
+        return frozenset(frozenset(x for i, x in enumerate(elements) if s >> i & 1) for s in masks)
 
-    def flats(self) -> SubsetFamily:
+    def flats(self) -> frozenset[frozenset[int]]:
         rank = _rank_table(_position_bases(self), self.n)
-        return self._positions_family(_flat_masks(rank), "flat")
+        return self._positions_family(_flat_masks(rank))
 
-    def circuits(self) -> SubsetFamily:
+    def circuits(self) -> frozenset[frozenset[int]]:
         """Minimal dependent sets: rank one below the size, every one-element
         deletion of the same rank (so independent)."""
         rank = _rank_table(_position_bases(self), self.n)
@@ -265,7 +241,7 @@ class Matroid:
             for s, rk in enumerate(rank)
             if rk == s.bit_count() - 1 and all(rank[s & ~bit] == rk for bit in bits if s & bit)
         )
-        return self._positions_family(circuits, "circuit")
+        return self._positions_family(circuits)
 
     def girth(self) -> int | float:
         """Size of the smallest circuit, or math.inf when none exists."""

@@ -59,26 +59,10 @@ class InternalInconsistency(RuntimeError):
     """A structure theorem and a completed basis computation disagree."""
 
 
-@dataclass(frozen=True, eq=False)
-class TupleSet:
-    """Distinguished tuples of one axiom kind, grouped by length."""
-
-    ground: tuple[int, ...]
-    kind: str
-    by_length: dict[int, frozenset[tuple[int, ...]]]
-
-    def lengths(self) -> list[int]:
-        return sorted(self.by_length)
-
-    def __contains__(self, t: object) -> bool:
-        if isinstance(t, tuple):
-            return t in self.by_length.get(len(t), frozenset())
-        return False
-
-
-def tuple_set(m: Matroid, kind: str) -> TupleSet:
-    """The tuple family a matroid contributes under one axiom system: every
-    ordering of every nonempty member, plus the circuits' diagonal pairs."""
+def tuple_set(m: Matroid, kind: str) -> dict[int, frozenset[tuple[int, ...]]]:
+    """The tuple family a matroid contributes under one axiom system, by
+    length: every ordering of every nonempty member, plus the circuits'
+    diagonal pairs."""
     if kind not in AXIOM_KINDS:
         raise ValueError(f"axioms must be one of {AXIOM_KINDS}, got {kind!r}")
     tuples = [t for s in _FAMILIES[kind](m) if s for t in permutations(s)]
@@ -88,7 +72,7 @@ def tuple_set(m: Matroid, kind: str) -> TupleSet:
     by_length: dict[int, set[tuple[int, ...]]] = {}
     for t in tuples:
         by_length.setdefault(len(t), set()).add(t)
-    return TupleSet(m.ground.elements, kind, {k: frozenset(v) for k, v in by_length.items()})
+    return {k: frozenset(v) for k, v in by_length.items()}
 
 
 def qsym_ideal_generators(alg: Algebra) -> list[NcPolynomial]:
@@ -123,23 +107,25 @@ def qsym_ideal_generators(alg: Algebra) -> list[NcPolynomial]:
     return gens
 
 
-def tuple_ideal_generators(alg: Algebra, tuples: TupleSet) -> list[NcPolynomial]:
-    """Mismatch monomials u_AB where exactly one of A, B is in the family."""
+def tuple_ideal_generators(
+    alg: Algebra, tuples: dict[int, frozenset[tuple[int, ...]]]
+) -> list[NcPolynomial]:
+    """Mismatch monomials u_AB where exactly one of A, B is in the family,
+    given by length as tuple_set returns it."""
     labels = alg.labels
     n = len(labels)
     total = 0
-    for length, fam in tuples.by_length.items():
+    for length, fam in tuples.items():
         total += 2 * len(fam) * (n**length - len(fam))
     if total > GENERATOR_CAP:
         raise TooLarge(
             f"tuple ideal would need {total} mismatch generators (cap {GENERATOR_CAP})"
         )
     gens: list[NcPolynomial] = []
-    for length in sorted(tuples.by_length):
-        fam = sorted(tuples.by_length[length])
-        fam_set = tuples.by_length[length]
-        outside = [t for t in product(labels, repeat=length) if t not in fam_set]
-        for a in fam:
+    for length in sorted(tuples):
+        fam = tuples[length]
+        outside = [t for t in product(labels, repeat=length) if t not in fam]
+        for a in sorted(fam):
             for b in outside:
                 gens.append(alg.monomial(zip(a, b)))
                 gens.append(alg.monomial(zip(b, a)))

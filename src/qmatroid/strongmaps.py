@@ -134,7 +134,7 @@ def is_strong_map(m1: Matroid, m2: Matroid, mapping: dict[int, int]) -> bool:
     allowed = set(m2.ground.elements) | {BASEPOINT}
     if any(v not in allowed for v in mapping.values()):
         raise ValueError("mapping values must be target labels or the basepoint 0")
-    flats1 = set(m1.flats().members)
+    flats1 = m1.flats()
     for g in m2.flats():
         pre = frozenset(x for x, v in mapping.items() if v == BASEPOINT or v in g)
         if pre not in flats1:

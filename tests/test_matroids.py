@@ -141,7 +141,7 @@ class TestRankClosure:
                 for combo in combinations(m.ground.elements, size):
                     cl = m.closure(combo)
                     assert m.closure(cl) == cl
-                    assert cl in m.flats().members
+                    assert cl in m.flats()
 
     def test_rank_monotone_submodular_exhaustive(self):
         for n in range(1, 5):
@@ -163,17 +163,24 @@ class TestRankClosure:
 
 
 class TestFamilies:
+    def test_every_family_is_a_frozenset_of_frozensets(self):
+        # bases, flats, circuits and independent sets share one type
+        for m in (m for n in range(1, 5) for m in enumerate_all_matroids(n, up_to_iso=True)):
+            for fam in (m.bases, m.flats(), m.circuits(), m.independent_sets()):
+                assert type(fam) is frozenset, m
+                assert all(type(s) is frozenset for s in fam), m
+
     def test_independent_u23(self):
         fam = uniform(2, 3).independent_sets()
         want = {frozenset()} | {frozenset(c) for s in (1, 2) for c in combinations([1, 2, 3], s)}
-        assert fam.members == want
+        assert fam == want
 
     def test_independent_u11(self):
-        assert uniform(1, 1).independent_sets().members == {frozenset(), frozenset({1})}
+        assert uniform(1, 1).independent_sets() == {frozenset(), frozenset({1})}
 
     def test_independent_downward_closed_and_brute_force(self):
         for m in enumerate_all_matroids(3) + [decode_revlex("01", 4, 2)]:
-            fam = m.independent_sets().members
+            fam = m.independent_sets()
             brute = {
                 frozenset(c)
                 for size in range(m.rank + 1)
@@ -190,7 +197,7 @@ class TestFamilies:
 
     def test_flats_u23(self):
         fam = uniform(2, 3).flats()
-        assert fam.members == {
+        assert fam == {
             frozenset(),
             frozenset({1}),
             frozenset({2}),
@@ -199,16 +206,16 @@ class TestFamilies:
         }
 
     def test_flats_u11(self):
-        assert uniform(1, 1).flats().members == {frozenset(), frozenset({1})}
+        assert uniform(1, 1).flats() == {frozenset(), frozenset({1})}
 
     def test_flats_of_loopy_matroid_start_at_loops(self):
         m = decode_revlex("1", 2, 1)
         # the loop sits in every flat, closure of the empty set included
         assert m.closure([]) == m.loops()
-        assert all(m.loops() <= f for f in m.flats().members)
+        assert all(m.loops() <= f for f in m.flats())
 
     def test_fano_flat_census(self):
-        fam = fano().flats().members
+        fam = fano().flats()
         by_size: dict[int, int] = {}
         for f in fam:
             by_size[len(f)] = by_size.get(len(f), 0) + 1
@@ -217,7 +224,7 @@ class TestFamilies:
 
     def test_flats_intersection_closed(self):
         for m in enumerate_all_matroids(3) + [fano()]:
-            fam = m.flats().members
+            fam = m.flats()
             assert frozenset(m.ground.elements) in fam
             for f1 in fam:
                 for f2 in fam:
@@ -225,13 +232,13 @@ class TestFamilies:
 
     def test_circuits_u24(self):
         fam = uniform(2, 4).circuits()
-        assert fam.members == {frozenset(c) for c in combinations(range(1, 5), 3)}
+        assert fam == {frozenset(c) for c in combinations(range(1, 5), 3)}
 
     def test_circuits_u11_empty(self):
-        assert uniform(1, 1).circuits().members == set()
+        assert uniform(1, 1).circuits() == set()
 
     def test_fano_circuits(self):
-        fam = fano().circuits().members
+        fam = fano().circuits()
         triples = {frozenset(nb) for nb in FANO_NONBASES}
         assert {c for c in fam if len(c) == 3} == triples
         assert all(len(c) in (3, 4) for c in fam)
@@ -241,7 +248,7 @@ class TestFamilies:
 
     def test_circuits_antichain_and_minimality(self):
         for m in enumerate_all_matroids(3):
-            fam = m.circuits().members
+            fam = m.circuits()
             for c1 in fam:
                 for c2 in fam:
                     if c1 != c2:
@@ -317,8 +324,8 @@ class TestFamiliesOnSparseLabels:
             for s, r in rank.items()
             if r < len(s) and all(rank[s - {x}] == len(s) - 1 for x in s)
         }
-        assert m.flats().members == flats
-        assert m.circuits().members == circuits
+        assert m.flats() == flats
+        assert m.circuits() == circuits
         assert m.girth() == min((len(c) for c in circuits), default=math.inf)
         for s, r in rank.items():
             assert m.closure(s) == {x for x in ground if rank[s | {x}] == r}

@@ -67,32 +67,30 @@ class TestTupleSets:
 
     def test_independent_tuples(self):
         ts = tuple_set(uniform(2, 3), "independent")
-        assert {k: len(v) for k, v in ts.by_length.items()} == {1: 3, 2: 6}
-        assert (1, 2) in ts and (2, 1) in ts
-        assert (1, 1) not in ts  # repeats never appear
-        assert [1, 2] not in ts  # only tuples ever match
+        assert {k: len(v) for k, v in ts.items()} == {1: 3, 2: 6}
+        assert (1, 2) in ts[2] and (2, 1) in ts[2]
+        assert (1, 1) not in ts[2]  # repeats never appear
 
     def test_basis_tuples(self):
         ts = tuple_set(uniform(2, 3), "bases")
-        assert ts.lengths() == [2]
-        assert len(ts.by_length[2]) == 6
+        assert sorted(ts) == [2]
+        assert len(ts[2]) == 6
 
     def test_rank_zero_has_no_basis_tuples(self):
-        ts = tuple_set(uniform(0, 2), "bases")
-        assert ts.lengths() == []
+        assert tuple_set(uniform(0, 2), "bases") == {}
 
     def test_circuit_tuples_include_diagonal_support(self):
         ts = tuple_set(uniform(1, 2), "circuits")
-        assert ts.by_length == {2: frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})}
+        assert ts == {2: frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})}
 
     def test_loops_become_length_one_circuits(self):
         m = decode_revlex("1", 2, 1)  # bases {{2}}, loop 1
         ts = tuple_set(m, "circuits")
-        assert ts.by_length == {1: frozenset({(1,)}), 2: frozenset({(2, 2)})}
+        assert ts == {1: frozenset({(1,)}), 2: frozenset({(2, 2)})}
 
     def test_flat_tuples_skip_the_empty_flat(self):
         ts = tuple_set(uniform(2, 3), "flats")
-        assert {k: len(v) for k, v in ts.by_length.items()} == {1: 3, 3: 6}
+        assert {k: len(v) for k, v in ts.items()} == {1: 3, 3: 6}
 
     @pytest.mark.parametrize("kind", AXIOM_KINDS)
     def test_every_small_class_matches_the_definitions(self, kind):
@@ -120,8 +118,8 @@ class TestTupleSets:
                         if member:
                             want.setdefault(k, set()).add(t)
                 ts = tuple_set(m, kind)
-                assert ts.ground == ground and ts.kind == kind
-                assert ts.by_length == {k: frozenset(v) for k, v in want.items()}, m
+                assert type(ts) is dict and all(type(f) is frozenset for f in ts.values()), m
+                assert ts == {k: frozenset(v) for k, v in want.items()}, m
                 checked += 1
         assert checked == 31
 
@@ -142,7 +140,7 @@ class TestMismatchGenerators:
             letters = alg.letters(word)
             rows = tuple(v.row for v in letters)
             cols = tuple(v.col for v in letters)
-            assert (rows in ts) != (cols in ts)
+            assert (rows in ts[2]) != (cols in ts[2])
 
     def test_generator_cap(self):
         alg = Algebra(tuple(range(1, 9)))
