@@ -10,10 +10,10 @@ circuit-axioms quantum automorphism groups:
 - table4: bases noncommutative, circuits commutative
 - unknown: at least one verdict undecided under the budget
 
-Output tables are a pure function of inputs and configuration when the runs
-are bounded by degree rather than wall time; rows are emitted sorted by
-(n, rank, hex) so repeated runs agree byte for byte.  Wall times are kept on
-the in-memory rows only and never written to files.
+Output tables are a pure function of inputs and configuration when no run
+reaches its wall-clock budget; rows are emitted sorted by (n, rank, hex) so
+repeated runs agree byte for byte.  Wall times are kept on the in-memory rows
+only and never written to files.
 """
 
 from __future__ import annotations
@@ -25,20 +25,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .autgroup import automorphism_group
-from .groebner import DEFAULT_TIME_BUDGET, EngineConfig
+from .groebner import EngineConfig
 from .matroids import INFINITY, Matroid, canonical_revlex_hex, decode_revlex, enumerate_matroids
 # re-exported, so batch callers can catch InternalInconsistency from here
 from .quantum import InternalInconsistency, decide_commutativity, quantum_aut_spec  # noqa: F401
 
 TABLE_NAMES = ("table1", "table2", "table3", "table4", "unknown")
-
-TABLE_CAPTIONS = {
-    "table1": "bases and circuits both noncommutative",
-    "table2": "bases and circuits both commutative",
-    "table3": "bases commutative, circuits noncommutative",
-    "table4": "bases noncommutative, circuits commutative",
-    "unknown": "at least one verdict undecided",
-}
 
 COLUMNS = (
     "matroid",
@@ -56,21 +48,9 @@ COLUMNS = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    degree_bound: int | None = None
-    time_budget: float | None = DEFAULT_TIME_BUDGET
+    engine: EngineConfig = EngineConfig()
     threads: int = 1
     shortcuts_enabled: bool = True
-
-    def engine_config(self) -> EngineConfig:
-        """Engine budgets, for every CLI subcommand: a time budget <= 0 means
-        none, and no bound at all means DEFAULT_TIME_BUDGET, since a default degree
-        bound would downgrade finishing runs to truncated."""
-        time_budget = self.time_budget
-        if time_budget is not None and time_budget <= 0:
-            time_budget = None
-        if self.degree_bound is None and time_budget is None:
-            return EngineConfig(time_budget=DEFAULT_TIME_BUDGET)
-        return EngineConfig(degree_bound=self.degree_bound, time_budget=time_budget)
 
 
 @dataclass(frozen=True)
@@ -111,7 +91,7 @@ def run_matroid(m: Matroid, hexcode: str, config: RunConfig) -> ResultRow:
     by_bases, by_circuits = (
         decide_commutativity(
             quantum_aut_spec(m, axioms),
-            config.engine_config(),
+            config.engine,
             shortcuts=config.shortcuts_enabled,
         )
         for axioms in ("bases", "circuits")

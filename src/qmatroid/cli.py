@@ -94,16 +94,22 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _engine_config_from(args) -> EngineConfig:
-    if getattr(args, "unbounded", False):
-        return EngineConfig(unbounded=True)
-    return RunConfig(degree_bound=args.degree_bound, time_budget=args.time_budget).engine_config()
+def _add_budgets(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--degree-bound", type=int, default=None)
+    p.add_argument("--time-budget", type=float, default=DEFAULT_TIME_BUDGET,
+                   help="seconds (default %(default)s); <= 0 lifts the bound")
+
+
+def _budgets(args) -> EngineConfig:
+    """The same budgets for every subcommand: a time budget <= 0 means none."""
+    time_budget = args.time_budget if args.time_budget > 0 else None
+    return EngineConfig(degree_bound=args.degree_bound, time_budget=time_budget)
 
 
 def cmd_gb(args) -> int:
     m = decode_revlex(args.hex, args.n, args.r)
     spec = quantum_aut_spec(m, args.axioms)
-    gb = buchberger(spec.generators, _engine_config_from(args))
+    gb = buchberger(spec.generators, _budgets(args))
     out = args.out or f"{args.hex}_{args.n}_{args.r}_{args.axioms}.gb"
     write_gb(gb, out, matroid_hex=args.hex, n=args.n, r=args.r, axioms=args.axioms)
     print(
@@ -116,8 +122,7 @@ def cmd_gb(args) -> int:
 def cmd_commutativity(args) -> int:
     m = decode_revlex(args.hex, args.n, args.r)
     spec = quantum_aut_spec(m, args.axioms)
-    config = _engine_config_from(args)
-    verdict = decide_commutativity(spec, config, shortcuts=not args.no_shortcuts)
+    verdict = decide_commutativity(spec, _budgets(args), shortcuts=not args.no_shortcuts)
     degree = "-" if verdict.gb is None else str(verdict.gb.max_degree)
     print(f"matroid={args.hex} n={args.n} r={args.r} axioms={args.axioms}")
     print(
@@ -139,10 +144,7 @@ def cmd_commutativity(args) -> int:
 
 def cmd_tables(args) -> int:
     config = RunConfig(
-        degree_bound=args.degree_bound,
-        time_budget=args.time_budget,
-        threads=args.threads,
-        shortcuts_enabled=not args.no_shortcuts,
+        _budgets(args), threads=args.threads, shortcuts_enabled=not args.no_shortcuts
     )
     jobs = enumerate_jobs(args.max_n)
     if args.fixtures:
@@ -200,9 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("r", type=int)
     p.add_argument("--axioms", choices=AXIOM_KINDS, default="bases")
-    p.add_argument("--degree-bound", type=int, default=None)
-    p.add_argument("--time-budget", type=float, default=None)
-    p.add_argument("--unbounded", action="store_true")
+    _add_budgets(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gb)
 
@@ -211,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("r", type=int)
     p.add_argument("axioms", nargs="?", choices=AXIOM_KINDS, default="bases")
-    p.add_argument("--degree-bound", type=int, default=None)
-    p.add_argument("--time-budget", type=float, default=None)
+    _add_budgets(p)
     p.add_argument("--no-shortcuts", action="store_true")
     p.add_argument("--out", help="append a TSV result line here")
     p.set_defaults(func=cmd_commutativity)
@@ -221,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("max_n", type=int, nargs="?", default=4)
     p.add_argument("--out", default="tables")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--degree-bound", type=int, default=None)
-    p.add_argument("--time-budget", type=float, default=DEFAULT_TIME_BUDGET)
+    _add_budgets(p)
     p.add_argument("--no-shortcuts", action="store_true")
     p.add_argument("--fixtures", help="file of `hex n r` lines to append")
     p.add_argument("--extended", action="store_true",

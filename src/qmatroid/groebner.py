@@ -58,7 +58,7 @@ from .ncpoly import (
     poly_data,
 )
 
-# The wall-clock budget of a run that sets no bound of its own: ten minutes.
+# The wall-clock budget of a run that does not set its own: ten minutes.
 DEFAULT_TIME_BUDGET = 600.0
 
 
@@ -120,26 +120,20 @@ class GBStatus:
         raise ValueError(f"bad status {text!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
-    """Budgets for a Buchberger run; at least one bound or unbounded=True."""
+    """Budgets for a Buchberger run, for every caller from the CLI down.
+
+    A degree bound discards obstructions above it; an iteration cap or a time
+    budget in seconds aborts the run.  The wall-clock DEFAULT_TIME_BUDGET stays
+    on as a safety net, next to a degree bound too, unless time_budget=None.
+    """
 
     degree_bound: int | None = None
     max_iterations: int | None = None
-    time_budget: float | None = None
-    unbounded: bool = False
+    time_budget: float | None = DEFAULT_TIME_BUDGET
 
     def __post_init__(self) -> None:
-        if (
-            self.degree_bound is None
-            and self.max_iterations is None
-            and self.time_budget is None
-            and not self.unbounded
-        ):
-            raise ValueError(
-                "set a degree bound, iteration cap, or time budget, "
-                "or acknowledge an unbounded run with unbounded=True"
-            )
         if self.degree_bound is not None and self.degree_bound < 1:
             raise ValueError("degree bound must be positive")
 
@@ -155,8 +149,8 @@ class GroebnerBasis:
 
     @property
     def max_degree(self) -> int:
-        """Largest generator degree; the appendix tables call this d_B."""
-        return max(g.degree() for g in self.generators)
+        """Largest generator degree (0 when empty); the appendix tables call this d_B."""
+        return max((g.degree() for g in self.generators), default=0)
 
     @cached_property
     def reducer(self) -> kernel.Reducer:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Iterable, Mapping
 
-from .groebner import DEFAULT_TIME_BUDGET, EngineConfig, GroebnerBasis, buchberger
+from .groebner import EngineConfig, GroebnerBasis, buchberger
 from .matroids import Matroid, TooLarge
 from .ncpoly import Algebra, NcPolynomial, normal_remainder
 
@@ -208,7 +208,7 @@ def theorem_shortcuts(m: Matroid, axioms: str) -> CommutativityVerdict | None:
 
 def decide_commutativity(
     spec: QuantumGroupSpec,
-    config: EngineConfig | None = None,
+    config: EngineConfig = EngineConfig(),
     *,
     shortcuts: bool = True,
 ) -> CommutativityVerdict:
@@ -227,8 +227,6 @@ def decide_commutativity(
         sc = theorem_shortcuts(spec.matroid, spec.axioms)
         if sc is not None:
             return sc
-    if config is None:
-        config = EngineConfig(time_budget=DEFAULT_TIME_BUDGET)
     gb = buchberger(spec.generators, config)
     for c in commutators(spec.algebra):
         nf = normal_remainder(c, gb.reducer)

@@ -54,23 +54,9 @@ def make_row(**overrides) -> ResultRow:
 class TestRunConfig:
     def test_defaults(self):
         config = RunConfig()
-        assert config.time_budget == 600.0
+        assert config.engine == EngineConfig(time_budget=600.0)
         assert config.threads == 1
         assert config.shortcuts_enabled
-
-    def test_engine_config_passthrough(self):
-        ec = RunConfig(degree_bound=5, time_budget=30.0).engine_config()
-        assert ec.degree_bound == 5
-        assert ec.time_budget == 30.0
-
-    def test_engine_config_never_unbounded(self):
-        ec = RunConfig(degree_bound=None, time_budget=None).engine_config()
-        assert ec.time_budget == 600.0
-
-    def test_non_positive_time_budget_means_none(self):
-        assert RunConfig(time_budget=0).engine_config() == EngineConfig(time_budget=600.0)
-        ec = RunConfig(degree_bound=3, time_budget=-1.0).engine_config()
-        assert ec == EngineConfig(degree_bound=3)
 
 
 class TestResultRow:
@@ -222,13 +208,13 @@ class TestRenderAndWrite:
 
 class TestRunBatch:
     def test_deduplicates_and_sorts(self):
-        config = RunConfig(time_budget=120.0)
+        config = RunConfig(EngineConfig(time_budget=120.0))
         jobs = [("3", 2, 1), ("1", 2, 1), ("3", 2, 1)]
         rows = run_batch(jobs, config)
         assert [r.hex for r in rows] == ["1", "3"]
 
     def test_repeated_runs_agree_byte_for_byte(self):
-        config = RunConfig(degree_bound=6, time_budget=None)
+        config = RunConfig(EngineConfig(degree_bound=6, time_budget=None))
         jobs = enumerate_jobs(2)
         first = render_table(run_batch(jobs, config))
         second = render_table(run_batch(jobs, config))
@@ -236,6 +222,6 @@ class TestRunBatch:
 
     def test_process_pool_matches_serial(self):
         jobs = enumerate_jobs(2)
-        serial = run_batch(jobs, RunConfig(time_budget=120.0, threads=1))
-        pooled = run_batch(jobs, RunConfig(time_budget=120.0, threads=2))
+        serial = run_batch(jobs, RunConfig(EngineConfig(time_budget=120.0), threads=1))
+        pooled = run_batch(jobs, RunConfig(EngineConfig(time_budget=120.0), threads=2))
         assert [r.cells() for r in serial] == [r.cells() for r in pooled]

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from qmatroid.cli import main
-from qmatroid.groebner import EngineConfig, read_gb
+from qmatroid.groebner import EngineConfig, GBStatus, GroebnerBasis, read_gb
 
 FANO_HEX = "3f7eefd6f"
 
@@ -21,6 +21,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _aborted_at_once(generators, config):
+    """An engine whose budget ran out before it appended anything."""
+    return GroebnerBasis(generators[0].alg, (), GBStatus.aborted("time"))
 
 
 class TestDecode:
@@ -141,6 +146,18 @@ class TestGb:
         assert "status=aborted(time)" in out
         assert (tmp_path / "fano.gb").exists()
 
+    def test_empty_aborted_basis_exits_five(self, capsys, tmp_path, monkeypatch):
+        import qmatroid.cli as cli
+
+        monkeypatch.setattr(cli, "buchberger", _aborted_at_once)
+        out_path = tmp_path / "x.gb"
+        code, out, err = run(capsys, "gb", "3f", "4", "2", "--out", str(out_path))
+        assert code == 5 and err == ""
+        assert out.strip() == f"status=aborted(time) degree=0 generators=0 file={out_path}"
+        meta, gb = read_gb(str(out_path))
+        assert meta["degree"] == 0
+        assert gb.status == GBStatus.aborted("time") and gb.generators == ()
+
     def test_unresolved_discards_stay_truncated(self, capsys, tmp_path):
         # a discarded cubic obstruction of U(2,4) does not reduce to zero at
         # bound 2, so the 63 elements found there are no complete basis (78)
@@ -168,7 +185,7 @@ class TestGb:
 
     def test_unbounded_flag(self, capsys, tmp_path):
         code, out, _ = run(
-            capsys, "gb", "3", "2", "1", "--unbounded",
+            capsys, "gb", "3", "2", "1", "--time-budget", "0",
             "--out", str(tmp_path / "u.gb"),
         )
         assert code == 0
@@ -206,6 +223,16 @@ class TestCommutativity:
         code, out, _ = run(capsys, "commutativity", "f", "4", "3", "--no-shortcuts")
         assert code == 0
         assert "verdict=commutative method=groebner" in out
+
+    def test_empty_aborted_basis_is_unknown(self, capsys, monkeypatch):
+        import qmatroid.quantum as quantum
+
+        monkeypatch.setattr(quantum, "buchberger", _aborted_at_once)
+        code, out, err = run(capsys, "commutativity", "3f", "4", "2", "--no-shortcuts")
+        assert code == 0 and err == ""
+        assert out.splitlines()[1] == (
+            "verdict=unknown method=groebner status=aborted(time) degree=0"
+        )
 
     def test_theorem_contradiction_exits_three(self, capsys, contradicting_engine):
         code, out, err = run(capsys, "commutativity", "f", "4", "3", "bases", "--no-shortcuts")
@@ -294,8 +321,26 @@ class _Stop(Exception):
     pass
 
 
+@pytest.mark.parametrize(
+    "flags,expected",
+    [
+        ([], EngineConfig(time_budget=600.0)),
+        (["--time-budget", "0"], EngineConfig(time_budget=None)),
+        (["--degree-bound", "3"], EngineConfig(degree_bound=3, time_budget=600.0)),
+        (["--time-budget", "5"], EngineConfig(time_budget=5.0)),
+        (
+            ["--degree-bound", "5", "--time-budget", "30"],
+            EngineConfig(degree_bound=5, time_budget=30.0),
+        ),
+        (
+            ["--degree-bound", "3", "--time-budget", "-1"],
+            EngineConfig(degree_bound=3, time_budget=None),
+        ),
+    ],
+)
 class TestEngineBudgets:
-    """The EngineConfig each subcommand hands to the engine, per budget flag."""
+    """The same budget flags hand the same EngineConfig to the engine on
+    every subcommand."""
 
     def captured(self, monkeypatch, argv):
         import qmatroid.cli as cli
@@ -306,37 +351,27 @@ class TestEngineBudgets:
             seen.append(config)
             raise _Stop
 
+        def commutativity_stub(spec, config, *, shortcuts):
+            seen.append(config)
+            raise _Stop
+
         def tables_stub(jobs, config):
-            seen.append(config.engine_config())
+            seen.append(config.engine)
             raise _Stop
 
         monkeypatch.setattr(cli, "buchberger", gb_stub)
+        monkeypatch.setattr(cli, "decide_commutativity", commutativity_stub)
         monkeypatch.setattr(cli, "run_batch", tables_stub)
         with pytest.raises(_Stop):
             main(argv)
         return seen[0]
 
-    @pytest.mark.parametrize(
-        "flags,expected",
-        [
-            ([], EngineConfig(time_budget=600.0)),
-            (["--time-budget", "0"], EngineConfig(time_budget=600.0)),
-            (["--degree-bound", "3"], EngineConfig(degree_bound=3)),
-            (["--time-budget", "5"], EngineConfig(time_budget=5.0)),
-            (["--unbounded"], EngineConfig(unbounded=True)),
-        ],
-    )
     def test_gb(self, monkeypatch, flags, expected):
         assert self.captured(monkeypatch, ["gb", "3", "2", "1", *flags]) == expected
 
-    @pytest.mark.parametrize(
-        "flags,expected",
-        [
-            ([], EngineConfig(time_budget=600.0)),
-            (["--time-budget", "0"], EngineConfig(time_budget=600.0)),
-            (["--degree-bound", "3"], EngineConfig(degree_bound=3, time_budget=600.0)),
-        ],
-    )
+    def test_commutativity(self, monkeypatch, flags, expected):
+        assert self.captured(monkeypatch, ["commutativity", "3", "2", "1", *flags]) == expected
+
     def test_tables(self, monkeypatch, flags, expected):
         assert self.captured(monkeypatch, ["tables", "1", *flags]) == expected
 

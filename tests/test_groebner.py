@@ -196,12 +196,15 @@ class TestSPolynomial:
 
 class TestEngineConfig:
     def test_requires_some_budget(self):
-        with pytest.raises(ValueError):
-            EngineConfig()
+        # the wall-clock safety net is on by default, next to a degree bound too
+        assert EngineConfig() == EngineConfig(time_budget=600.0)
+        assert EngineConfig(degree_bound=3).time_budget == 600.0
+        assert EngineConfig(max_iterations=10).time_budget == 600.0
 
     def test_unbounded_needs_explicit_opt_in(self):
-        config = EngineConfig(unbounded=True)
+        config = EngineConfig(time_budget=None)
         assert config.degree_bound is None and config.time_budget is None
+        assert config.max_iterations is None
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_degree_bound_must_be_positive(self, bad):
@@ -235,7 +238,7 @@ class TestBuchberger:
         assert gb.generators == (alg2.one(),)
 
     def test_unit_remainder_leaves_basis_and_reducer_in_step(self, alg2):
-        eng = groebner_module._Engine(EngineConfig(unbounded=True))
+        eng = groebner_module._Engine(EngineConfig(time_budget=None))
         eng.append(alg2.gen(1, 1).terms)
         eng.append(alg2.constant(3).terms)
         assert eng.unit and not eng.queue
@@ -354,7 +357,7 @@ class TestBudgets:
     def test_bounded_run_is_complete_exactly_when_unbounded(self, hexcode, n, r, kind):
         # at bound d_B, and at bound 2 where d_B is 3
         gens = quantum_aut_spec(decode_revlex(hexcode, n, r), kind).generators
-        unbounded = buchberger(gens, EngineConfig(unbounded=True))
+        unbounded = buchberger(gens, EngineConfig(time_budget=None))
         d = unbounded.max_degree
         for bound in sorted({d, 2} if d == 3 else {d}):
             gb = buchberger(gens, EngineConfig(degree_bound=bound))
@@ -398,7 +401,7 @@ class TestPartnerIndex:
 
         rng = random.Random(73)
         for _ in range(60):
-            eng = groebner_module._Engine(EngineConfig(unbounded=True))
+            eng = groebner_module._Engine(EngineConfig(time_budget=None))
             letters = rng.randrange(2, 5)
             words: list[bytes] = []
             for _ in range(200):
@@ -685,6 +688,21 @@ class TestSerialization:
         assert meta["matroid"] == "3"
         assert meta["axioms"] == "independent"
         assert set(loaded.generators) == set(gb.generators)
+
+    def test_empty_aborted_basis_round_trips(self, u24_generators):
+        gb = buchberger(u24_generators, EngineConfig(time_budget=0.0))
+        assert gb.generators == () and gb.max_degree == 0
+        buffer = io.StringIO()
+        write_gb(gb, buffer, matroid_hex="3f", n=4, r=2, axioms="bases")
+        assert buffer.getvalue() == (
+            "matroid=3f n=4 r=2 axioms=bases order=degrevlex "
+            "status=aborted(time) degree=0\n"
+        )
+        buffer.seek(0)
+        meta, loaded = read_gb(buffer)
+        assert meta["degree"] == 0
+        assert loaded.status == GBStatus.aborted("time")
+        assert loaded.generators == ()
 
     def test_truncated_status_survives_round_trip(self, u24_generators):
         gb = buchberger(u24_generators, EngineConfig(degree_bound=2))
