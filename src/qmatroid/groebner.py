@@ -48,14 +48,13 @@ from typing import Iterable, Sequence
 from . import kernel
 from .ncpoly import (
     Algebra,
-    Coeff,
     NcPolynomial,
     VariableUniverseMismatch,
     ZeroPolynomial,
     add_terms,
-    as_coeff,
+    data_terms,
+    monic_data,
     normal_remainder,
-    poly_data,
 )
 
 # The wall-clock budget of a run that does not set its own: ten minutes.
@@ -154,11 +153,12 @@ class GroebnerBasis:
 
     @cached_property
     def reducer(self) -> kernel.Reducer:
-        """The generators in kernel form, built on first use and then shared.
+        """The generators in monic kernel form, built on first use and then shared.
 
-        Pattern i is generator i, so reduction traces index self.generators.
+        Pattern i is generator i, so reduction traces index self.generators,
+        each cofactor scaling generator.monic() as in normal_remainder.
         """
-        return kernel.Reducer(poly_data(g) for g in self.generators)
+        return kernel.Reducer(monic_data(g.terms) for g in self.generators)
 
     def reduce(self, p: NcPolynomial, trace: list | None = None) -> NcPolynomial:
         if p.alg != self.algebra:
@@ -188,21 +188,6 @@ def s_polynomial(ob: Obstruction, f: NcPolynomial, g: NcPolynomial) -> NcPolynom
     terms = add_terms({}, f.terms.items(), 1 / Fraction(f.leading_coeff()), ob.f_left, ob.f_right)
     add_terms(terms, g.terms.items(), -1 / Fraction(g.leading_coeff()), ob.g_left, ob.g_right)
     return NcPolynomial(f.alg, terms)
-
-
-def _monic(terms: dict) -> tuple[bytes, Coeff, tuple]:
-    """A nonzero kernel remainder as monic kernel data (lt, 1, tail), from one sort."""
-    key = kernel.sort_key
-    items = sorted(terms.items(), key=lambda item: key(item[0]), reverse=True)
-    lt, lc = items[0]
-    scale = 1 if lc == 1 else 1 / Fraction(lc)
-    return (lt, 1, tuple((w, as_coeff(scale * c)) for w, c in items[1:]))
-
-
-def _terms(data: tuple[bytes, Coeff, tuple]) -> dict[bytes, Coeff]:
-    """The term dict of a basis element in kernel form."""
-    lt, lc, tail = data
-    return dict(((lt, lc), *tail))
 
 
 class _Engine:
@@ -278,7 +263,7 @@ class _Engine:
 
     def append(self, terms: dict) -> None:
         """Add a nonzero remainder from the kernel to the basis, made monic."""
-        data = _monic(terms)
+        data = monic_data(terms)
         lt = data[0]
         if not lt:
             # a nonzero constant: the ideal is the whole ring, buchberger
@@ -303,7 +288,7 @@ class _Engine:
                 self.seq += 1
         self.reducer.append(data)
         self.index(lt, t)
-        if not data[2]:
+        if not data[1]:
             self.monomials.insert(lt)
 
     def remainder(self, placement: tuple) -> dict:
@@ -313,8 +298,8 @@ class _Engine:
         # both elements are monic and their leading words meet in one word,
         # so the heads cancel and the S-polynomial is the difference of the
         # shifted tails, whose words all lie below that common word
-        terms = add_terms({}, data[j][2], 1, lf, rf)
-        add_terms(terms, data[t][2], -1, lg, rg)
+        terms = add_terms({}, data[j][1], 1, lf, rf)
+        add_terms(terms, data[t][1], -1, lg, rg)
         return self.reducer.reduce(terms) if terms else terms
 
 
@@ -380,7 +365,7 @@ def buchberger(generators: Iterable[NcPolynomial], config: EngineConfig) -> Groe
     if eng.unit:
         basis = [alg.one()]
     else:
-        basis = interreduce([NcPolynomial(alg, _terms(d)) for d in eng.reducer.data])
+        basis = interreduce([NcPolynomial(alg, data_terms(d)) for d in eng.reducer.data])
     return GroebnerBasis(
         algebra=alg,
         generators=tuple(basis),
@@ -436,7 +421,7 @@ def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
         rem = reducer.reduce(terms)
         if not rem:
             continue
-        xdata = _monic(rem)
+        xdata = monic_data(rem)
         xlt = xdata[0]
         if not xlt:
             return [alg.one()]
@@ -452,16 +437,16 @@ def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
         if top is None or xkey > top:
             top = xkey
         for d in evicted:
-            heappush(heap, (kernel.sort_key(d[0]), seq, _terms(d)))
+            heappush(heap, (kernel.sort_key(d[0]), seq, data_terms(d)))
             seq += 1
 
     data = reducer.data
     order = sorted(range(len(data)), key=lambda i: kernel.sort_key(data[i][0]))
     for i in order:
-        lt, lc, tail = data[i]
+        lt, tail = data[i]
         # same leading word, so the reducer's automaton stays in step
-        data[i] = _monic({lt: lc, **reducer.reduce(dict(tail))})
-    return [NcPolynomial(alg, _terms(data[i])) for i in order]
+        data[i] = monic_data({lt: 1, **reducer.reduce(dict(tail))})
+    return [NcPolynomial(alg, data_terms(data[i])) for i in order]
 
 
 # -- serialization ------------------------------------------------------------

@@ -131,21 +131,21 @@ class Automaton:
 
 
 class Reducer:
-    """A basis in kernel form and its matching automaton, kept in step.
+    """A monic basis in kernel form and its matching automaton, kept in step.
 
-    data[i] = (leading word, leading coeff, descending tail terms), and
+    data[i] = (leading word, descending tail terms) of a monic element, and
     automaton pattern i is data[i][0]: append is the only way in, so the
     reduce_terms contract holds for every reduce.  An entry may be replaced
     in place by one with the same leading word.
     """
 
-    def __init__(self, data: Iterable[tuple[bytes, Fraction, tuple]] = ()):
-        self.data: list[tuple[bytes, Fraction, tuple]] = []
+    def __init__(self, data: Iterable[tuple[bytes, tuple]] = ()):
+        self.data: list[tuple[bytes, tuple]] = []
         self.automaton = Automaton()
         for d in data:
             self.append(d)
 
-    def append(self, d: tuple[bytes, Fraction, tuple]) -> None:
+    def append(self, d: tuple[bytes, tuple]) -> None:
         self.automaton.insert(d[0])
         self.data.append(d)
 
@@ -158,20 +158,20 @@ class Reducer:
 
 def reduce_terms(
     terms: dict[bytes, Fraction],
-    basis: list[tuple[bytes, Fraction, tuple[tuple[bytes, Fraction], ...]]],
+    basis: list[tuple[bytes, tuple[tuple[bytes, Fraction], ...]]],
     automaton: Automaton,
     trace: list | None = None,
 ) -> dict[bytes, Fraction]:
     """Two-sided normal form of a term dict against basis with matching automaton.
 
-    Contract: basis[i] = (leading word, leading coeff, tail terms) and
+    Contract: basis[i] = (leading word, tail terms) of a monic element and
     automaton pattern i is basis[i]'s leading word, so a match of pattern i
     is len(basis[i][0]) letters long.  Reducer keeps this for its callers.
     Terms are processed in descending word order; a term whose word contains
-    some leading word is rewritten through the earliest-ending match, others
-    move to the output.  When trace is a list, (cofactor, left, index, right)
-    quadruples are appended such that
-    input = sum of cofactor * left * basis[index] * right + output.
+    some leading word is rewritten through the earliest-ending match, with
+    its own coefficient as the cofactor; others move to the output.  When
+    trace is a list, (cofactor, left, index, right) quadruples are appended
+    such that input = sum of cofactor * left * basis[index] * right + output.
     """
     work = dict(terms)
     heap = [(-len(w), w[::-1], w) for w in work]
@@ -186,21 +186,20 @@ def reduce_terms(
         if idx < 0:
             out[w] = c
             continue
-        lt, lc, tail = basis[idx]
+        lt, tail = basis[idx]
         start = end + 1 - len(lt)
         a = w[:start]
         b = w[end + 1 :]
-        q = c if lc == 1 else c / lc
         if trace is not None:
-            trace.append((q, a, idx, b))
+            trace.append((c, a, idx, b))
         for v, cv in tail:
             nw = a + v + b
             old = work.get(nw)
             if old is None:
-                work[nw] = -q * cv
+                work[nw] = -c * cv
                 heappush(heap, (-len(nw), nw[::-1], nw))
             else:
-                nc = old - q * cv
+                nc = old - c * cv
                 if nc:
                     work[nw] = nc
                 else:

@@ -325,11 +325,9 @@ class NcPolynomial:
         return max(len(w) for w in self.terms)
 
     def monic(self) -> NcPolynomial:
-        _, lc = self.leading_term()
-        if lc == 1:
+        if self.leading_coeff() == 1:
             return self
-        lc = Fraction(lc)
-        return NcPolynomial(self.alg, {w: as_coeff(c / lc) for w, c in self.terms.items()})
+        return NcPolynomial(self.alg, data_terms(monic_data(self.terms)))
 
     def star(self) -> NcPolynomial:
         """Antilinear involution: reverse words; rational coefficients are fixed."""
@@ -351,19 +349,23 @@ class NcPolynomial:
         return f"NcPolynomial({self.alg.format_poly(self)})"
 
 
-def poly_data(p: NcPolynomial) -> tuple[bytes, Coeff, tuple[tuple[bytes, Coeff], ...]]:
-    """(leading word, leading coeff, descending tail) as the kernel consumes it.
+def monic_data(terms: Mapping[bytes, Coeff]) -> tuple[bytes, tuple[tuple[bytes, Coeff], ...]]:
+    """Kernel data (leading word, descending tail) of a nonzero term dict made monic.
 
-    Kernel contract: the leading coefficient is 1 or a Fraction.  The kernel
-    divides by it (c / lc) whenever it is not 1, and int / int would give a
-    float, so any other integral leading coefficient is handed over as a
-    Fraction.
+    The one place a leading coefficient is divided out; the tail is in
+    as_coeff normal form.  data_terms is the inverse.
     """
-    items = p.sorted_terms()
-    lt, lc = items[0]
-    if lc != 1:
-        lc = Fraction(lc)
-    return (lt, lc, tuple(items[1:]))
+    key = kernel.sort_key
+    items = sorted(terms.items(), key=lambda item: key(item[0]), reverse=True)
+    lc = items[0][1]
+    scale = ONE if lc == 1 else 1 / Fraction(lc)
+    return (items[0][0], tuple((w, as_coeff(scale * c)) for w, c in items[1:]))
+
+
+def data_terms(data: tuple[bytes, tuple[tuple[bytes, Coeff], ...]]) -> dict[bytes, Coeff]:
+    """The term dict of kernel data (lt, tail): leading coefficient 1."""
+    lt, tail = data
+    return dict(((lt, ONE), *tail))
 
 
 def normal_remainder(
@@ -376,9 +378,9 @@ def normal_remainder(
     Deterministic: each divisible term is rewritten through the match with the
     earliest end position in the word, ties broken by lowest basis index.
     When trace is a list it receives (cofactor, left, index, right) entries
-    with p = sum(cofactor * left * basis[index] * right) + remainder.
+    with p = sum(cofactor * left * basis[index].monic() * right) + remainder.
 
-    basis may also be a kernel.Reducer already built over poly_data of the
+    basis may also be a kernel.Reducer already built over monic_data of the
     polynomials, which saves rebuilding its automaton when many polynomials
     are reduced against one basis (GroebnerBasis.reducer).  Its entries are
     not checked again, so the caller vouches that they come from p's algebra;
@@ -393,7 +395,7 @@ def normal_remainder(
                 raise VariableUniverseMismatch("basis polynomial in a different algebra")
             if g.is_zero():
                 raise ZeroPolynomial("zero polynomial in reduction basis")
-            reducer.append(poly_data(g))
+            reducer.append(monic_data(g.terms))
     out = reducer.reduce(p.terms, trace)
     return NcPolynomial(p.alg, normal_terms(out))
 
@@ -403,8 +405,8 @@ def replay_trace(
     basis: list[NcPolynomial],
     remainder: NcPolynomial,
 ) -> NcPolynomial:
-    """Rebuild the reduced polynomial from a certificate: sum + remainder."""
+    """Rebuild p = sum(q * left * basis[idx].monic() * right) + remainder."""
     total = dict(remainder.terms)
     for q, left, idx, right in trace:
-        add_terms(total, basis[idx].terms.items(), q, left, right)
+        add_terms(total, basis[idx].monic().terms.items(), q, left, right)
     return NcPolynomial(remainder.alg, total)

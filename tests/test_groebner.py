@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 
 import qmatroid.groebner as groebner_module
 from qmatroid import kernel
+from qmatroid.batch import enumerate_jobs
 from qmatroid.groebner import (
     EngineConfig,
     GBStatus,
@@ -713,11 +715,86 @@ class TestSerialization:
         assert loaded.status == GBStatus.truncated(2)
 
 
+# SHA-256 of the write_gb text of every enumerate_jobs(4) class under bases
+# and circuits without a degree bound, and of U(2,4) bases with degree bound
+# 2 (the last key field).  The .gb files must stay byte-identical across
+# engine changes, so a new digest here is a changed output.
+GB_DIGESTS = {
+    ("3", 2, 1, "bases", None): "22778aa0d51b681b671db8b66f13988bbb833ff1890ba239695f9567e5ef51be",
+    ("3", 2, 1, "circuits", None): "4277515e8eb2217c0ae09bec24a143814ed7f33b1456aa2080fe21575eea5975",
+    ("1", 2, 1, "bases", None): "46468a1b997d4075e6505f40de91214bc04ff40ee076dcca2200413f5c42e786",
+    ("1", 2, 1, "circuits", None): "906875b0c305a0aca8b58fdb45bb80c3f327c7526b6eb527f78115d10be5ce26",
+    ("7", 3, 1, "bases", None): "f382e5032856f1322581bac577e1fc8aef44d2a6629ee86c30c592675899b63f",
+    ("7", 3, 1, "circuits", None): "4ba3c68f9a3968e6888620ac286fdcbf226b44e7480ae0208d76b452e42b66a1",
+    ("1", 3, 1, "bases", None): "cda0802900c02fbdaf33d19ff9129a16e9be9bb9bce267dc63546d357fec4395",
+    ("1", 3, 1, "circuits", None): "eae7a1845302cc0d5524e2c7fcb07e20439d54f50e647d164c9ee02a8b27c922",
+    ("3", 3, 1, "bases", None): "ad37247ca100a5cc2ce4cdb757ca08720f97a43e4f5d1bc917308fa83dd94e40",
+    ("3", 3, 1, "circuits", None): "92d4521800ac73e11e95583271e13b0c04bcaa081cc0aff4de11215f544df45b",
+    ("1", 3, 2, "bases", None): "9e8fa3a1f607432f68f4056997c91e29b4af7f4c0b282f86f5a192b959ace8ab",
+    ("1", 3, 2, "circuits", None): "4a69cca51d983fd5f9025ed0a25daa0f509fb0dc1b747bfff28f75f98915816b",
+    ("3", 3, 2, "bases", None): "e267f5543952f966e90b51041e8d1deb43687e76216139212bb9f4872802cb92",
+    ("3", 3, 2, "circuits", None): "2004fca24441de424df310773f01ef6e0cef6c1777ea8d5a330198069c49b4b2",
+    ("7", 3, 2, "bases", None): "66325f4c612b60baa7ac74032a2f42785c94329766fd9a5c8b5c4da77578ce5b",
+    ("7", 3, 2, "circuits", None): "1b65595b635d2434b8f895d379ee6bd883079324116a5788cbec475ca042c58d",
+    ("f", 4, 1, "bases", None): "1c21ebab221e322c66930f61b847cc6cf258664abbc0e28c287394e998f1c31c",
+    ("f", 4, 1, "circuits", None): "70b3f76ec0692c8d0005357561a5866cf1700d0964092d8020e3ac5e61156d3a",
+    ("1", 4, 1, "bases", None): "dd3c676b4a8d2e327e52b66b627e29b96fa2699eded60e7093e3bece2e2b8118",
+    ("1", 4, 1, "circuits", None): "5ce5485774291bd0ffb044de3c1feb39329a3322a517ac9bde0aebc3b6fa6e95",
+    ("7", 4, 1, "bases", None): "fc8d7c4c51e043aa0da0190f0fb6ae9e3a767354a1c32952b96d0f8d653f4d91",
+    ("7", 4, 1, "circuits", None): "9e843cacee40134a755d519e712c9f87a4bde59de3aa7f4e805e563714125600",
+    ("3", 4, 1, "bases", None): "c6512f700a88f8790a968c43a3ebe48a37359e1734aee10408a60195fd0ed60c",
+    ("3", 4, 1, "circuits", None): "85027401c2d34b8cd07d3bf3f35d0c3f41f4c40198a6917ca5ace54a66963bed",
+    ("01", 4, 2, "bases", None): "fa8884df66a18363236a1a1563a8505130f32d3cf346f47afc5747d136ac38db",
+    ("01", 4, 2, "circuits", None): "7a0ecdc503f89d70a8d0313fa380a25cda1195655e0b5139e8b6874a0e0d014a",
+    ("03", 4, 2, "bases", None): "41f2e197095018db60ad0b27b8c82f5dd0e79ac9b0ec1fffbe447e9df0d3547e",
+    ("03", 4, 2, "circuits", None): "bfe04da320d7b8accc1c33087d4184f515e099f98a35b9f46d94da7cc03ad98c",
+    ("07", 4, 2, "bases", None): "79e795015787fd1d93b5dd63d0acf02736df66e3ee64983ead7ee7a0f7a849fb",
+    ("07", 4, 2, "circuits", None): "7f74845f0a47042e1ec05bd8c4be908de8e751ee485d4ceae311cb68ae8ef30d",
+    ("0b", 4, 2, "bases", None): "680d8bf4493672dae6165aa7223bb4bb1f97c8e39849b37fefdbfbaff7a5c22b",
+    ("0b", 4, 2, "circuits", None): "959ed52f6ab3b8249845111e7dc959956bb101a763301fb0602ca6376af7e3ff",
+    ("1e", 4, 2, "bases", None): "636e041ab396d2f00336d9a6e8f90eea1f5be0226d65a0d6f4a13f34f7291762",
+    ("1e", 4, 2, "circuits", None): "ec10b640f8b03a48e202e4459ff0bca8462c05edb5dd9ecd0d127fbafd1a25ec",
+    ("3f", 4, 2, "bases", None): "6758408f8f7102c16c2cee9a81c19b3825a30bb627c9804682037916f8da6e8e",
+    ("3f", 4, 2, "circuits", None): "1d76345a8186f89d646576899b8ef0ba12101232af5780c453125263b0621c42",
+    ("1f", 4, 2, "bases", None): "88508df8c89a7701be234e6fa3339baf4569da94dcaab1bc0e0b97d179a26f4f",
+    ("1f", 4, 2, "circuits", None): "1d0c87315744abf7b877334a6433e9de622f419cee42ad3dc274b829b44ca9b0",
+    ("1", 4, 3, "bases", None): "98d40c878ed3176bb1cd2b59f0719de71be2c94635c54433545896dbece0e9c6",
+    ("1", 4, 3, "circuits", None): "0dcd99fb6999b2f6026b9a13272dd1c64867ac424256d466ac2eba2054b79c39",
+    ("3", 4, 3, "bases", None): "c2ccc13f0a75cb497202026ba4961f82d9f4edc72968a2c95f815e1bd91406e3",
+    ("3", 4, 3, "circuits", None): "81dffe23818ddc1482eaaa85f7d7de905162e85691157a043410726b855d32e3",
+    ("7", 4, 3, "bases", None): "34dcf6ba0e52e8ac3a7b674b90f42cf20c4294ad72d3feb4a1997b8867319151",
+    ("7", 4, 3, "circuits", None): "9ac27f6a6634367f6a3162df1644fe48cd403b727aaa9ce0c09046b89093e4ab",
+    ("f", 4, 3, "bases", None): "03c0d3945f885b6dbe29fdd458375bd94af2a4ec77f67f1b19cc8beda2e3a7a6",
+    ("f", 4, 3, "circuits", None): "d05eebb51430c909117449acb12d8413f4d7218b06634d75246ad832d950c7c1",
+    ("3f", 4, 2, "bases", 2): "748bc3e53f1afa443f65fef1d1316c265b023a38fa2b9d759831eaece0c4aa51",
+}
+
+
+class TestGoldenFiles:
+    def test_gb_texts_match_recorded_digests(self):
+        keys = [
+            (*job, axioms, None) for job in enumerate_jobs(4) for axioms in ("bases", "circuits")
+        ]
+        keys.append(("3f", 4, 2, "bases", 2))
+        digests = {}
+        for hexcode, n, r, axioms, bound in keys:
+            spec = quantum_aut_spec(decode_revlex(hexcode, n, r), axioms)
+            gb = buchberger(spec.generators, EngineConfig(degree_bound=bound))
+            expected = GBStatus.complete() if bound is None else GBStatus.truncated(bound)
+            assert gb.status == expected, (hexcode, n, r, axioms)
+            buffer = io.StringIO()
+            write_gb(gb, buffer, matroid_hex=hexcode, n=n, r=r, axioms=axioms)
+            digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+            digests[hexcode, n, r, axioms, bound] = digest
+        assert digests == GB_DIGESTS
+
+
 class TestBasisInterface:
     def test_reducer_is_built_once(self, u24_gb):
         reducer = u24_gb.reducer
         assert u24_gb.reducer is reducer
         assert [d[0] for d in reducer.data] == [g.leading_word() for g in u24_gb.generators]
+        assert all(len(d) == 2 for d in reducer.data)
 
     def test_reduce_rejects_other_algebra(self, u24_gb, alg3):
         with pytest.raises(VariableUniverseMismatch):

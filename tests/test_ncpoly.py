@@ -15,8 +15,9 @@ from qmatroid.ncpoly import (
     VariableUniverseMismatch,
     ZeroPolynomial,
     add_terms,
+    data_terms,
+    monic_data,
     normal_remainder,
-    poly_data,
     replay_trace,
 )
 from qmatroid.quantum import commutators, qsym_ideal_generators, quantum_aut_spec
@@ -312,16 +313,37 @@ class TestNormalRemainder:
             assert replay_trace(trace, gens, r) == p
             assert_coefficient_invariant(r)
 
-    def test_non_monic_basis_divides_exactly(self, alg2):
-        # the kernel divides by a leading coefficient other than 1, which
-        # must be exact: int / int would give the float 2.0
-        u = alg2.gen(1, 1)
-        basis = [3 * u - 6]
+    @pytest.mark.parametrize(
+        "basis, p, remainder, expected",
+        [
+            (["3*u[1,1] - 6"], "u[1,1]", "2", [(1, b"", 0, b"")]),
+            (["-2*u[1,1] + 1"], "2*u[1,1]", "1", [(2, b"", 0, b"")]),
+            (
+                ["2/3*u[1,1] - 1"],
+                "u[1,1]*u[1,1]",
+                "9/4",
+                [(1, b"", 0, b"\x00"), (Fraction(3, 2), b"", 0, b"")],
+            ),
+            (
+                ["u[1,1]*u[1,1] - u[1,1]", "2*u[1,2] - 1", "-3*u[2,1] + u[2,2]"],
+                "u[1,1]*u[1,1] + 3*u[1,1]*u[1,2] + u[2,1]",
+                "5/2*u[1,1] + 1/3*u[2,2]",
+                [(1, b"", 0, b""), (3, b"\x00", 1, b""), (1, b"", 2, b"")],
+            ),
+        ],
+        ids=["3u-6", "-2u+1", "2/3u-1", "mixed"],
+    )
+    def test_non_monic_basis_divides_exactly(self, alg2, basis, p, remainder, expected):
+        # the kernel reduces by each element's monic multiple, made exactly
+        # (int / int would give a float), and a cofactor scales that multiple
+        basis = [alg2.parse_poly(g) for g in basis]
+        p = alg2.parse_poly(p)
         trace = []
-        r = normal_remainder(u, basis, trace=trace)
-        assert r.terms == {b"": 2}
+        r = normal_remainder(p, basis, trace=trace)
+        assert r == alg2.parse_poly(remainder)
         assert_coefficient_invariant(r)
-        assert replay_trace(trace, basis, r) == u
+        assert replay_trace(trace, basis, r) == p
+        assert trace == expected
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_shared_reducer_matches_polynomial_list(self, r):
@@ -351,13 +373,18 @@ class TestNormalRemainder:
             gens = qsym_ideal_generators(alg)
             assert {g.star() for g in gens} == set(gens)
 
-    def test_poly_data_shape(self, alg2):
+    def test_monic_data_shape(self, alg2):
         p = alg2.monomial([(1, 1), (1, 1)]) - alg2.gen(1, 1)
-        lt, lc, tail = poly_data(p)
+        lt, tail = monic_data(p.terms)
         assert lt == alg2.word([(1, 1), (1, 1)])
-        assert lc == 1
         assert tail == ((alg2.word([(1, 1)]), Fraction(-1)),)
-        assert type(lc) is int and type(tail[0][1]) is int
-        # kernel contract: a leading coefficient other than 1 is a Fraction
-        _, lc, _ = poly_data(3 * p)
-        assert type(lc) is Fraction and lc == 3
+        assert type(tail[0][1]) is int
+        assert data_terms(monic_data(p.terms)) == p.terms
+        # a leading coefficient other than 1 is divided out exactly
+        assert monic_data((3 * p).terms) == monic_data(p.terms)
+        _, tail = monic_data((2 * p + 1).terms)
+        assert tail == ((alg2.word([(1, 1)]), -1), (b"", Fraction(1, 2)))
+        assert type(tail[0][1]) is int and type(tail[1][1]) is Fraction
+        # kernel remainders may hold integral Fractions; the tail is normal
+        _, tail = monic_data({b"\x00": Fraction(2), b"": Fraction(4)})
+        assert tail == ((b"", 2),) and type(tail[0][1]) is int
