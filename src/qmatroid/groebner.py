@@ -444,8 +444,7 @@ def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
     order = sorted(range(len(data)), key=lambda i: kernel.sort_key(data[i][0]))
     for i in order:
         lt, tail = data[i]
-        # same leading word, so the reducer's automaton stays in step
-        data[i] = monic_data({lt: 1, **reducer.reduce(dict(tail))})
+        reducer.replace(i, monic_data({lt: 1, **reducer.reduce(dict(tail))}))
     return [NcPolynomial(alg, data_terms(data[i])) for i in order]
 
 

@@ -2,6 +2,16 @@
 
 Words over the free algebra are bytes; each byte is a variable id.
 
+Reducer keeps an exact normal-form memo.  Between two changes to the basis
+every word is rewritten by a fixed rule, so the normal form is linear,
+NF(sum c*w) = sum c*NF(w), and a stored NF(w) can stand in for the rewrites
+of w.  A change whose leading word has length n clears the memo for lengths
+>= n only: the order is graded, so no rewrite makes a word longer, and a
+shorter word and its whole rewrite chain cannot contain the new leading
+word.  Two bounds keep the memo small: it stores only words no longer than
+the longest leading word, and a word only from its second meeting since its
+length was last cleared.
+
 Word order (graded, admissible): shorter words first; equal lengths compare
 letterwise from the right, and the word whose first differing letter is the
 smaller variable is the larger word.  Encoding trick: (len(w), bytes of
@@ -13,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from typing import Iterable
 
 BACKEND = "python"
@@ -131,29 +142,57 @@ class Automaton:
 
 
 class Reducer:
-    """A monic basis in kernel form and its matching automaton, kept in step.
+    """A monic basis in kernel form, its matching automaton and a normal-form memo.
 
     data[i] = (leading word, descending tail terms) of a monic element, and
-    automaton pattern i is data[i][0]: append is the only way in, so the
-    reduce_terms contract holds for every reduce.  An entry may be replaced
-    in place by one with the same leading word.
+    automaton pattern i is data[i][0]: append is the only way in, and replace
+    the only way to swap an entry, so the reduce_terms contract holds for
+    every reduce.
+
+    memo[n] maps a word of length n to its normal form against the current
+    data, a flat tuple (w0, c0, w1, c1, ...), or to None when the word has
+    been met once since its length was last cleared.  There is one dict per
+    length from 0 to that of the longest pattern, and no longer word is
+    stored.  append(d) and replace(i, d) clear the lengths >= len(d[0]) and
+    no others, which keeps every stored normal form exact (see the module
+    docstring).
     """
 
     def __init__(self, data: Iterable[tuple[bytes, tuple]] = ()):
         self.data: list[tuple[bytes, tuple]] = []
         self.automaton = Automaton()
+        self.memo: list[dict[bytes, tuple | None]] = [{}]
         for d in data:
             self.append(d)
 
     def append(self, d: tuple[bytes, tuple]) -> None:
         self.automaton.insert(d[0])
         self.data.append(d)
+        self._forget(len(d[0]))
+
+    def replace(self, i: int, d: tuple[bytes, tuple]) -> None:
+        """Swap entry i for d, which must have the same leading word."""
+        if d[0] != self.data[i][0]:
+            raise ValueError("replace keeps the leading word; append a new one")
+        self.data[i] = d
+        self._forget(len(d[0]))
+
+    def _forget(self, n: int) -> None:
+        """Clear the memo for word lengths >= n and keep one dict per length <= n."""
+        memo = self.memo
+        for k in range(n, len(memo)):
+            memo[k].clear()
+        memo.extend({} for _ in range(len(memo), n + 1))
 
     def reduce(
         self, terms: dict[bytes, Fraction], trace: list | None = None
     ) -> dict[bytes, Fraction]:
-        """Normal form of a term dict; see reduce_terms."""
-        return reduce_terms(terms, self.data, self.automaton, trace)
+        """Normal form of a term dict; see reduce_terms.  A traced reduction skips the memo."""
+        return reduce_terms(terms, self.data, self.automaton, trace, self.memo)
+
+
+# a word that the memo has not met since its length was last cleared
+_UNSEEN = object()
 
 
 def reduce_terms(
@@ -161,6 +200,7 @@ def reduce_terms(
     basis: list[tuple[bytes, tuple[tuple[bytes, Fraction], ...]]],
     automaton: Automaton,
     trace: list | None = None,
+    memo: list[dict[bytes, tuple | None]] | None = None,
 ) -> dict[bytes, Fraction]:
     """Two-sided normal form of a term dict against basis with matching automaton.
 
@@ -172,19 +212,44 @@ def reduce_terms(
     its own coefficient as the cofactor; others move to the output.  When
     trace is a list, (cofactor, left, index, right) quadruples are appended
     such that input = sum of cofactor * left * basis[index] * right + output.
+
+    memo is a Reducer's normal-form memo, valid for basis; a traced call
+    ignores it.  Every word is rewritten by a fixed rule, so the normal form
+    is linear, NF(sum c*w) = sum c*NF(w): a word of length below len(memo)
+    whose NF is stored adds c*NF(w) to the output.  A word met for the second
+    time since its length was last cleared has its NF computed and stored
+    first (_normal_form); any other word is marked as met and takes the
+    rewrite step above.  The output equals the memo-free one.
     """
     work = dict(terms)
     heap = [(-len(w), w[::-1], w) for w in work]
     heapify(heap)
     out: dict[bytes, Fraction] = {}
+    top = 0 if memo is None or trace is not None else len(memo)
     while heap:
-        _, _, w = heappop(heap)
+        n, _, w = heappop(heap)
         c = work.pop(w, None)
         if c is None:
             continue
+        if -n < top:
+            table = memo[-n]
+            nf = table.get(w, _UNSEEN)
+            if nf is _UNSEEN:
+                table[w] = None
+            else:
+                if nf is None:
+                    nf = _normal_form(w, basis, automaton, memo)
+                _add_flat(out, nf, c)
+                continue
         end, idx = automaton.first_match(w)
         if idx < 0:
-            out[w] = c
+            # memoized normal forms may have put w in the output already
+            old = out.get(w)
+            s = c if old is None else old + c
+            if s:
+                out[w] = s
+            else:
+                del out[w]
             continue
         lt, tail = basis[idx]
         start = end + 1 - len(lt)
@@ -205,6 +270,56 @@ def reduce_terms(
                 else:
                     del work[nw]
     return out
+
+
+def _normal_form(w: bytes, basis: list, automaton: Automaton, memo: list[dict]) -> tuple:
+    """NF(w) as a flat tuple, stored in memo together with the NF of every word it rewrites to.
+
+    The rewrite chains are walked with an explicit stack, since their length
+    has no fixed bound.  A frame (x, tail, children) with children None asks
+    for x; once x is rewritten it comes back with the words its rewrite step
+    makes, above them on the stack, and is combined when they are all done:
+    NF(x) = -sum cv * NF(a v b).  The rewrite never makes a word longer, so
+    every word on the stack has a length below len(memo).
+    """
+    stack: list[tuple] = [(w, None, None)]
+    while stack:
+        x, tail, children = stack.pop()
+        table = memo[len(x)]
+        if children is None:
+            if type(table.get(x)) is tuple:
+                continue
+            end, idx = automaton.first_match(x)
+            if idx < 0:
+                table[x] = (x, 1)
+                continue
+            lt, tail = basis[idx]
+            a = x[: end + 1 - len(lt)]
+            b = x[end + 1 :]
+            children = [a + v + b for v, _ in tail]
+            stack.append((x, tail, children))
+            stack.extend((y, None, None) for y in children if type(memo[len(y)].get(y)) is not tuple)
+            continue
+        acc: dict[bytes, Fraction] = {}
+        for (_, cv), y in zip(tail, children):
+            _add_flat(acc, memo[len(y)][y], -cv)
+        table[x] = tuple(chain.from_iterable(acc.items()))
+    return memo[len(w)][w]
+
+
+def _add_flat(terms: dict[bytes, Fraction], nf: tuple, scale: Fraction) -> None:
+    """terms += scale * nf for a flat (w0, c0, w1, c1, ...) tuple, dropping zero sums."""
+    it = iter(nf)
+    for u, cu in zip(it, it):
+        old = terms.get(u)
+        if old is None:
+            terms[u] = scale * cu
+        else:
+            s = old + scale * cu
+            if s:
+                terms[u] = s
+            else:
+                del terms[u]
 
 
 def overlap_obstructions(

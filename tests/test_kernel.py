@@ -257,6 +257,126 @@ class TestReducer:
             expected = naive_first_match([d[0] for d in data], text)
             assert (end, idx) == expected
 
+    def test_replace_keeps_the_leading_word(self):
+        reducer = kernel.Reducer([(b"ab", ((b"a", -1),))])
+        reducer.replace(0, (b"ab", ((b"b", 2),)))
+        assert reducer.data == [(b"ab", ((b"b", 2),))]
+        with pytest.raises(ValueError):
+            reducer.replace(0, (b"ba", ()))
+        assert reducer.data == [(b"ab", ((b"b", 2),))]
+
+
+def random_entry(rng, alphabet, lt):
+    """Monic kernel data (lt, tail) with a random tail below lt."""
+    words = {bytes(rng.choice(alphabet) for _ in range(rng.randrange(len(lt) + 1))) for _ in range(3)}
+    key = kernel.sort_key
+    tail = [
+        (v, Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2))))
+        for v in words
+        if key(v) < key(lt)
+    ]
+    tail.sort(key=lambda item: key(item[0]), reverse=True)
+    return (lt, tuple(tail[: rng.randrange(3)]))
+
+
+def memo_words(reducer):
+    return [w for table in reducer.memo for w in table]
+
+
+class TestNormalFormMemo:
+    """Reducer.reduce with its memo equals the memo-free kernel.reduce_terms."""
+
+    @staticmethod
+    def memo_free(reducer, terms):
+        return kernel.reduce_terms(dict(terms), reducer.data, reducer.automaton)
+
+    def test_equals_memo_free_across_appends_and_replaces(self):
+        rng = random.Random(53)
+        shorter = replaced = hits = 0
+        for _ in range(400):
+            alphabet = list(range(rng.randrange(2, 4)))
+            reducer = kernel.Reducer()
+            for _ in range(rng.randrange(1, 12)):
+                if reducer.data and rng.random() < 0.3:
+                    i = rng.randrange(len(reducer.data))
+                    reducer.replace(i, random_entry(rng, alphabet, reducer.data[i][0]))
+                    replaced += 1
+                else:
+                    lt = bytes(rng.choice(alphabet) for _ in range(rng.randrange(1, 4)))
+                    if reducer.automaton.first_match(lt)[1] >= 0:
+                        continue
+                    if reducer.data and len(lt) < max(len(d[0]) for d in reducer.data):
+                        shorter += 1
+                    reducer.append(random_entry(rng, alphabet, lt))
+                for _ in range(rng.randrange(1, 6)):
+                    terms = {
+                        bytes(rng.choice(alphabet) for _ in range(rng.randrange(7))): rng.randrange(1, 4)
+                        for _ in range(rng.randrange(1, 4))
+                    }
+                    stored = sum(
+                        type(reducer.memo[len(w)].get(w)) is tuple
+                        for w in terms
+                        if len(w) < len(reducer.memo)
+                    )
+                    hits += stored
+                    assert reducer.reduce(dict(terms)) == self.memo_free(reducer, terms)
+                    longest = max(len(d[0]) for d in reducer.data)
+                    assert all(len(w) <= longest for w in memo_words(reducer))
+        # the run met every case it is meant to cover
+        assert shorter > 100 and replaced > 100 and hits > 100
+
+    def test_replace_drops_a_stored_normal_form(self):
+        # x*y - z, then x*y - 2*x: a stale NF(x*y) would still read z
+        x, y, z = b"\x00", b"\x01", b"\x02"
+        reducer = kernel.Reducer([(x + y, ((z, -1),))])
+        for _ in range(2):
+            assert reducer.reduce({x + y: 1}) == {z: 1}
+        assert reducer.memo[2][x + y] == (z, 1)
+        reducer.replace(0, (x + y, ((x, -2),)))
+        assert reducer.reduce({x + y: 1}) == {x: 2}
+
+    def test_shorter_append_drops_longer_normal_forms(self):
+        # x*y*z - z; then x*y - y ends earlier in x*y*z, so NF(x*y*z) turns
+        # from z into NF(y*z) = y*z
+        x, y, z = b"\x00", b"\x01", b"\x02"
+        reducer = kernel.Reducer([(x + y + z, ((z, -1),))])
+        for _ in range(2):
+            assert reducer.reduce({x + y + z: 1, z + z: 1}) == {z: 1, z + z: 1}
+        assert reducer.memo[3][x + y + z] == (z, 1)
+        reducer.append((x + y, ((y, -1),)))
+        # a shorter word cannot contain the new leading word: kept
+        assert reducer.memo[1] and not reducer.memo[2] and not reducer.memo[3]
+        assert reducer.reduce({x + y + z: 1}) == {y + z: 1}
+
+    def test_traced_reduction_leaves_memo_untouched(self):
+        from qmatroid.ncpoly import Algebra, monic_data, normal_remainder, replay_trace
+        from qmatroid.quantum import qsym_ideal_generators
+
+        alg = Algebra((1, 2))
+        basis = qsym_ideal_generators(alg)
+        reducer = kernel.Reducer(monic_data(g.terms) for g in basis)
+        rng = random.Random(59)
+        polys = [
+            alg.poly(
+                {
+                    bytes(rng.randrange(alg.nvars) for _ in range(rng.randrange(1, 6))): rng.randrange(1, 5)
+                    for _ in range(rng.randrange(1, 5))
+                }
+            )
+            for _ in range(40)
+        ]
+        for p in polys * 2:
+            normal_remainder(p, reducer)
+        before = [dict(table) for table in reducer.memo]
+        assert any(type(nf) is tuple for table in before for nf in table.values())
+        remainders = []
+        for p in polys:
+            trace: list = []
+            remainders.append(normal_remainder(p, reducer, trace))
+            assert reducer.memo == before
+            assert replay_trace(trace, basis, remainders[-1]) == p
+        assert remainders == [normal_remainder(p, reducer) for p in polys]
+
 
 @backends
 class TestOverlaps:
