@@ -8,8 +8,8 @@ bound did not reduce to zero against the final basis) and 5 when the run was
 aborted by a budget.
 
 The decode output doubles as the encode input format: a first line `n=<n>
-r=<r>` followed by one basis per line as comma-separated labels; lines
-starting with # are ignored.
+r=<r>` (keys in either order) followed by one basis per line as
+comma-separated labels; lines starting with # are ignored.
 """
 
 from __future__ import annotations
@@ -79,10 +79,11 @@ def cmd_encode(args) -> int:
             if not line or line.startswith("#"):
                 continue
             if n is None:
-                tokens = line.replace("n=", "").replace("r=", "").split()
-                if len(tokens) != 2:
+                head = sorted(line.split())  # n=<n> sorts before r=<r>
+                values = [t[2:] for t in head]
+                if [t[:2] for t in head] != ["n=", "r="] or not all(v.isdecimal() for v in values):
                     raise ValueError(f"first line must be `n=<n> r=<r>`, got {line!r}")
-                n, r = int(tokens[0]), int(tokens[1])
+                n, r = map(int, values)
                 continue
             bases.append([int(tok) for tok in line.replace(",", " ").split()])
     if n is None:

@@ -57,6 +57,8 @@ from .ncpoly import (
     normal_remainder,
 )
 
+ORDER = "degrevlex"  # the monomial order of every basis, recorded in .gb headers
+
 # The wall-clock budget of a run that does not set its own: ten minutes.
 DEFAULT_TIME_BUDGET = 600.0
 
@@ -142,7 +144,6 @@ class GroebnerBasis:
     algebra: Algebra
     generators: tuple[NcPolynomial, ...]
     status: GBStatus
-    order: str = "degrevlex"
     iterations: int = 0
     wall_time: float = 0.0
 
@@ -300,7 +301,7 @@ class _Engine:
         # shifted tails, whose words all lie below that common word
         terms = add_terms({}, data[j][1], 1, lf, rf)
         add_terms(terms, data[t][1], -1, lg, rg)
-        return self.reducer.reduce(terms) if terms else terms
+        return kernel.reduce_terms(terms, self.reducer) if terms else terms
 
 
 def buchberger(generators: Iterable[NcPolynomial], config: EngineConfig) -> GroebnerBasis:
@@ -331,7 +332,7 @@ def buchberger(generators: Iterable[NcPolynomial], config: EngineConfig) -> Groe
             break
         if eng.screened(g):
             continue
-        rem = eng.reducer.reduce(g.terms)
+        rem = kernel.reduce_terms(g.terms, eng.reducer)
         if rem:
             eng.append(rem)
             if eng.unit:
@@ -418,7 +419,7 @@ def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
 
     while heap:
         _, _, terms = heappop(heap)
-        rem = reducer.reduce(terms)
+        rem = kernel.reduce_terms(terms, reducer)
         if not rem:
             continue
         xdata = monic_data(rem)
@@ -444,7 +445,7 @@ def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
     order = sorted(range(len(data)), key=lambda i: kernel.sort_key(data[i][0]))
     for i in order:
         lt, tail = data[i]
-        reducer.replace(i, monic_data({lt: 1, **reducer.reduce(dict(tail))}))
+        reducer.replace(i, monic_data({lt: 1, **kernel.reduce_terms(dict(tail), reducer)}))
     return [NcPolynomial(alg, data_terms(data[i])) for i in order]
 
 
@@ -469,7 +470,7 @@ def write_gb(
     with _opened(fp, "w") as stream:
         stream.write(
             f"matroid={matroid_hex} n={n} r={r} axioms={axioms} "
-            f"order={gb.order} status={gb.status.render()} degree={gb.max_degree}\n"
+            f"order={ORDER} status={gb.status.render()} degree={gb.max_degree}\n"
         )
         for g in gb.generators:
             stream.write(gb.algebra.format_poly(g) + "\n")
@@ -479,10 +480,9 @@ def read_gb(fp) -> tuple[dict, GroebnerBasis]:
     """Parse a basis file back into (header fields, GroebnerBasis)."""
     with _opened(fp, "r") as stream:
         header = stream.readline().strip()
-        fields: dict[str, str] = {}
-        for part in header.split():
-            key, _, value = part.partition("=")
-            fields[key] = value
+        fields = dict(part.partition("=")[::2] for part in header.split())
+        if fields.get("order", ORDER) != ORDER:
+            raise ValueError(f"unsupported order={fields['order']}; only {ORDER} is read")
         n = int(fields["n"])
         alg = Algebra(tuple(range(1, n + 1)))
         gens = []
@@ -494,7 +494,6 @@ def read_gb(fp) -> tuple[dict, GroebnerBasis]:
         algebra=alg,
         generators=tuple(gens),
         status=GBStatus.parse(fields["status"]),
-        order=fields.get("order", "degrevlex"),
     )
     meta = {
         "matroid": fields["matroid"],

@@ -2,15 +2,17 @@
 
 Words over the free algebra are bytes; each byte is a variable id.
 
-Reducer keeps an exact normal-form memo.  Between two changes to the basis
-every word is rewritten by a fixed rule, so the normal form is linear,
-NF(sum c*w) = sum c*NF(w), and a stored NF(w) can stand in for the rewrites
-of w.  A change whose leading word has length n clears the memo for lengths
->= n only: the order is graded, so no rewrite makes a word longer, and a
-shorter word and its whole rewrite chain cannot contain the new leading
-word.  Two bounds keep the memo small: it stores only words no longer than
-the longest leading word, and a word only from its second meeting since its
-length was last cleared.
+Every reduction is reduce_terms(terms, reducer).  A Reducer holds a monic
+basis, its matching automaton and an exact normal-form memo, kept in step,
+so a memo is only read against the basis it was filled from.  Between two
+changes to the basis every word is rewritten by a fixed rule, so the normal
+form is linear, NF(sum c*w) = sum c*NF(w), and a stored NF(w) can stand in
+for the rewrites of w.  A change whose leading word has length n clears the
+memo for lengths >= n only: the order is graded, so no rewrite makes a word
+longer, and a shorter word and its whole rewrite chain cannot contain the
+new leading word.  Two bounds keep the memo small: it stores only words no
+longer than the longest leading word, and a word only from its second
+meeting since its length was last cleared.
 
 Word order (graded, admissible): shorter words first; equal lengths compare
 letterwise from the right, and the word whose first differing letter is the
@@ -145,9 +147,9 @@ class Reducer:
     """A monic basis in kernel form, its matching automaton and a normal-form memo.
 
     data[i] = (leading word, descending tail terms) of a monic element, and
-    automaton pattern i is data[i][0]: append is the only way in, and replace
-    the only way to swap an entry, so the reduce_terms contract holds for
-    every reduce.
+    automaton pattern i is data[i][0], so a match of pattern i is
+    len(data[i][0]) letters long.  append is the only way in and replace the
+    only way to swap an entry; both keep the three fields in step.
 
     memo[n] maps a word of length n to its normal form against the current
     data, a flat tuple (w0, c0, w1, c1, ...), or to None when the word has
@@ -184,48 +186,35 @@ class Reducer:
             memo[k].clear()
         memo.extend({} for _ in range(len(memo), n + 1))
 
-    def reduce(
-        self, terms: dict[bytes, Fraction], trace: list | None = None
-    ) -> dict[bytes, Fraction]:
-        """Normal form of a term dict; see reduce_terms.  A traced reduction skips the memo."""
-        return reduce_terms(terms, self.data, self.automaton, trace, self.memo)
-
 
 # a word that the memo has not met since its length was last cleared
 _UNSEEN = object()
 
 
 def reduce_terms(
-    terms: dict[bytes, Fraction],
-    basis: list[tuple[bytes, tuple[tuple[bytes, Fraction], ...]]],
-    automaton: Automaton,
-    trace: list | None = None,
-    memo: list[dict[bytes, tuple | None]] | None = None,
+    terms: dict[bytes, Fraction], reducer: Reducer, trace: list | None = None
 ) -> dict[bytes, Fraction]:
-    """Two-sided normal form of a term dict against basis with matching automaton.
+    """Two-sided normal form of a term dict against reducer.data.
 
-    Contract: basis[i] = (leading word, tail terms) of a monic element and
-    automaton pattern i is basis[i]'s leading word, so a match of pattern i
-    is len(basis[i][0]) letters long.  Reducer keeps this for its callers.
     Terms are processed in descending word order; a term whose word contains
     some leading word is rewritten through the earliest-ending match, with
     its own coefficient as the cofactor; others move to the output.  When
     trace is a list, (cofactor, left, index, right) quadruples are appended
-    such that input = sum of cofactor * left * basis[index] * right + output.
+    such that input = sum of cofactor * left * data[index] * right + output.
 
-    memo is a Reducer's normal-form memo, valid for basis; a traced call
-    ignores it.  Every word is rewritten by a fixed rule, so the normal form
-    is linear, NF(sum c*w) = sum c*NF(w): a word of length below len(memo)
-    whose NF is stored adds c*NF(w) to the output.  A word met for the second
-    time since its length was last cleared has its NF computed and stored
-    first (_normal_form); any other word is marked as met and takes the
-    rewrite step above.  The output equals the memo-free one.
+    An untraced call uses the reducer's memo; a traced one leaves it alone,
+    and both give the same output.  The normal form is linear (see the module
+    docstring): a word of length below len(memo) whose NF is stored adds
+    c*NF(w) to the output.  A word met for the second time since its length
+    was last cleared has its NF computed and stored first (_normal_form); any
+    other word is marked as met and takes the rewrite step above.
     """
+    basis, automaton, memo = reducer.data, reducer.automaton, reducer.memo
     work = dict(terms)
     heap = [(-len(w), w[::-1], w) for w in work]
     heapify(heap)
     out: dict[bytes, Fraction] = {}
-    top = 0 if memo is None or trace is not None else len(memo)
+    top = len(memo) if trace is None else 0
     while heap:
         n, _, w = heappop(heap)
         c = work.pop(w, None)
@@ -238,7 +227,7 @@ def reduce_terms(
                 table[w] = None
             else:
                 if nf is None:
-                    nf = _normal_form(w, basis, automaton, memo)
+                    nf = _normal_form(w, reducer)
                 _add_flat(out, nf, c)
                 continue
         end, idx = automaton.first_match(w)
@@ -272,8 +261,8 @@ def reduce_terms(
     return out
 
 
-def _normal_form(w: bytes, basis: list, automaton: Automaton, memo: list[dict]) -> tuple:
-    """NF(w) as a flat tuple, stored in memo together with the NF of every word it rewrites to.
+def _normal_form(w: bytes, reducer: Reducer) -> tuple:
+    """NF(w) as a flat tuple, stored in the memo with the NF of every word it rewrites to.
 
     The rewrite chains are walked with an explicit stack, since their length
     has no fixed bound.  A frame (x, tail, children) with children None asks
@@ -282,6 +271,7 @@ def _normal_form(w: bytes, basis: list, automaton: Automaton, memo: list[dict]) 
     NF(x) = -sum cv * NF(a v b).  The rewrite never makes a word longer, so
     every word on the stack has a length below len(memo).
     """
+    basis, automaton, memo = reducer.data, reducer.automaton, reducer.memo
     stack: list[tuple] = [(w, None, None)]
     while stack:
         x, tail, children = stack.pop()

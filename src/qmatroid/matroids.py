@@ -354,19 +354,18 @@ def revlex_subsets(n: int, r: int) -> list[tuple[int, ...]]:
 
 
 def decode_revlex(hex_string: str, n: int, r: int) -> Matroid:
-    """Decode a hex basis-indicator string into a validated matroid."""
+    """Decode a hex basis-indicator string (digits 0-9, a-f only) into a validated matroid."""
     subsets = revlex_subsets(n, r)
     count = len(subsets)
     want_len = (count + 3) // 4
     hex_string = hex_string.strip().lower()
+    if not set(hex_string) <= set("0123456789abcdef"):
+        raise BadHexLength(f"not a hex string: {hex_string!r}")
     if len(hex_string) != want_len:
         raise BadHexLength(
             f"hex string for n={n}, r={r} must have {want_len} characters, got {len(hex_string)}"
         )
-    try:
-        value = int(hex_string, 16)
-    except ValueError as exc:
-        raise BadHexLength(f"not a hex string: {hex_string!r}") from exc
+    value = int(hex_string, 16)
     if value >> count:
         raise BadHexLength(f"padding bits set in {hex_string!r}")
     bases = [subsets[k] for k in range(count) if (value >> (count - 1 - k)) & 1]

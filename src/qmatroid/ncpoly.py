@@ -396,8 +396,7 @@ def normal_remainder(
             if g.is_zero():
                 raise ZeroPolynomial("zero polynomial in reduction basis")
             reducer.append(monic_data(g.terms))
-    out = reducer.reduce(p.terms, trace)
-    return NcPolynomial(p.alg, normal_terms(out))
+    return NcPolynomial(p.alg, normal_terms(kernel.reduce_terms(p.terms, reducer, trace)))
 
 
 def replay_trace(

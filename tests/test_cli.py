@@ -61,6 +61,9 @@ class TestDecode:
             ("decode", "3f", "7", "3"),  # wrong code length
             ("decode", "0", "2", "1"),  # no bases
             ("decode", "3", "2", "5"),  # rank out of range
+            ("decode", "0x3", "5", "2"),  # Python int literals, not hex codes
+            ("decode", "0_3", "5", "2"),
+            ("decode", "+03", "5", "2"),
         ],
     )
     def test_invalid_inputs_exit_two(self, capsys, argv):
@@ -104,6 +107,32 @@ class TestEncode:
         path.write_text("n=4 r=2\n1,2\n3,4\n")
         code, _, err = run(capsys, "encode", str(path))
         assert code == 2
+
+    def test_header_keys_in_either_order(self, capsys, tmp_path):
+        codes = []
+        for header in ("n=4 r=2", "r=2 n=4"):
+            path = tmp_path / "m.txt"
+            path.write_text(f"{header}\n1,2\n1,3\n2,3\n")
+            code, out, _ = run(capsys, "encode", str(path))
+            assert code == 0
+            codes.append(out.strip())
+        assert codes[0] == codes[1]
+
+    def test_header_read_by_key_not_position(self, capsys, tmp_path):
+        # read by position, r=3 n=2 gave a rank-2 matroid on {1,2,3}: code 4
+        path = tmp_path / "swapped.txt"
+        path.write_text("r=3 n=2\n1,2\n")
+        code, out, err = run(capsys, "encode", str(path))
+        assert code == 2 and out == ""
+        assert "r=3" in err
+
+    @pytest.mark.parametrize("header", ["n=2", "n=2 r=2 r=2", "n=2 k=2", "2 2", "n=2 r=x"])
+    def test_bad_header_keys_are_rejected(self, capsys, tmp_path, header):
+        path = tmp_path / "bad_header.txt"
+        path.write_text(f"{header}\n1,2\n")
+        code, out, err = run(capsys, "encode", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: first line") and repr(header) in err
 
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "encode", str(tmp_path / "nope.txt"))

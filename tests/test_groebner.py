@@ -669,7 +669,6 @@ class TestSerialization:
             "degree": 3,
         }
         assert loaded.status == u24_gb.status
-        assert loaded.order == "degrevlex"
         assert set(loaded.generators) == set(u24_gb.generators)
         assert_int_coefficients(loaded.generators)
 
@@ -681,6 +680,16 @@ class TestSerialization:
             "matroid=3f n=4 r=2 axioms=bases order=degrevlex "
             "status=complete degree=3"
         )
+
+    def test_other_order_is_rejected(self, u24_gb):
+        buffer = io.StringIO()
+        write_gb(u24_gb, buffer, matroid_hex="3f", n=4, r=2, axioms="bases")
+        text = buffer.getvalue()
+        with pytest.raises(ValueError, match="order=deglex"):
+            read_gb(io.StringIO(text.replace("order=degrevlex", "order=deglex", 1)))
+        # a header without an order field still loads
+        _, loaded = read_gb(io.StringIO(text.replace(" order=degrevlex", "", 1)))
+        assert set(loaded.generators) == set(u24_gb.generators)
 
     def test_round_trip_through_path(self, tmp_path, alg2):
         gb = buchberger(qsym_ideal_generators(alg2), EngineConfig(time_budget=30.0))

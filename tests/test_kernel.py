@@ -189,26 +189,21 @@ class TestReduceTerms:
         return [(bytes([0, 0]), ((bytes([0]), Fraction(-1)),))]
 
     def test_rewrites_power_to_generator(self, mod):
-        basis = self.idempotent_basis()
-        auto = mod.Automaton([basis[0][0]])
-        out = mod.reduce_terms({bytes([0, 0, 0]): Fraction(1)}, basis, auto)
+        reducer = mod.Reducer(self.idempotent_basis())
+        out = mod.reduce_terms({bytes([0, 0, 0]): Fraction(1)}, reducer)
         assert out == {bytes([0]): Fraction(1)}
 
     def test_trace_protocol(self, mod):
-        basis = self.idempotent_basis()
-        auto = mod.Automaton([basis[0][0]])
+        reducer = mod.Reducer(self.idempotent_basis())
         trace = []
-        out = mod.reduce_terms({bytes([0, 0]): Fraction(2)}, basis, auto, trace)
+        out = mod.reduce_terms({bytes([0, 0]): Fraction(2)}, reducer, trace)
         assert out == {bytes([0]): Fraction(2)}
         assert trace == [(Fraction(2), b"", 0, b"")]
 
     def test_cancellation_inside_work_queue(self, mod):
-        basis = self.idempotent_basis()
-        auto = mod.Automaton([basis[0][0]])
+        reducer = mod.Reducer(self.idempotent_basis())
         # x^2 - x reduces to x - x = 0
-        out = mod.reduce_terms(
-            {bytes([0, 0]): Fraction(1), bytes([0]): Fraction(-1)}, basis, auto
-        )
+        out = mod.reduce_terms({bytes([0, 0]): Fraction(1), bytes([0]): Fraction(-1)}, reducer)
         assert out == {}
 
     def test_backends_agree_on_random_reductions(self, mod):
@@ -228,9 +223,9 @@ class TestReduceTerms:
                 )
                 for _ in range(rng.randrange(1, 4))
             }
-            auto = mod.Automaton(patterns)
+            reducer = mod.Reducer(data)
             trace = []
-            out = mod.reduce_terms(dict(terms), data, auto, trace)
+            out = mod.reduce_terms(dict(terms), reducer, trace)
             for w in out:
                 assert naive_first_match(patterns, w) == (-1, -1)
             rebuilt = dict(out)
@@ -284,11 +279,11 @@ def memo_words(reducer):
 
 
 class TestNormalFormMemo:
-    """Reducer.reduce with its memo equals the memo-free kernel.reduce_terms."""
+    """An untraced reduction, which uses the memo, equals a traced one, which never reads it."""
 
     @staticmethod
     def memo_free(reducer, terms):
-        return kernel.reduce_terms(dict(terms), reducer.data, reducer.automaton)
+        return kernel.reduce_terms(dict(terms), reducer, trace=[])
 
     def test_equals_memo_free_across_appends_and_replaces(self):
         rng = random.Random(53)
@@ -319,7 +314,8 @@ class TestNormalFormMemo:
                         if len(w) < len(reducer.memo)
                     )
                     hits += stored
-                    assert reducer.reduce(dict(terms)) == self.memo_free(reducer, terms)
+                    memoized = kernel.reduce_terms(dict(terms), reducer)
+                    assert memoized == self.memo_free(reducer, terms)
                     longest = max(len(d[0]) for d in reducer.data)
                     assert all(len(w) <= longest for w in memo_words(reducer))
         # the run met every case it is meant to cover
@@ -330,10 +326,10 @@ class TestNormalFormMemo:
         x, y, z = b"\x00", b"\x01", b"\x02"
         reducer = kernel.Reducer([(x + y, ((z, -1),))])
         for _ in range(2):
-            assert reducer.reduce({x + y: 1}) == {z: 1}
+            assert kernel.reduce_terms({x + y: 1}, reducer) == {z: 1}
         assert reducer.memo[2][x + y] == (z, 1)
         reducer.replace(0, (x + y, ((x, -2),)))
-        assert reducer.reduce({x + y: 1}) == {x: 2}
+        assert kernel.reduce_terms({x + y: 1}, reducer) == {x: 2}
 
     def test_shorter_append_drops_longer_normal_forms(self):
         # x*y*z - z; then x*y - y ends earlier in x*y*z, so NF(x*y*z) turns
@@ -341,12 +337,12 @@ class TestNormalFormMemo:
         x, y, z = b"\x00", b"\x01", b"\x02"
         reducer = kernel.Reducer([(x + y + z, ((z, -1),))])
         for _ in range(2):
-            assert reducer.reduce({x + y + z: 1, z + z: 1}) == {z: 1, z + z: 1}
+            assert kernel.reduce_terms({x + y + z: 1, z + z: 1}, reducer) == {z: 1, z + z: 1}
         assert reducer.memo[3][x + y + z] == (z, 1)
         reducer.append((x + y, ((y, -1),)))
         # a shorter word cannot contain the new leading word: kept
         assert reducer.memo[1] and not reducer.memo[2] and not reducer.memo[3]
-        assert reducer.reduce({x + y + z: 1}) == {y + z: 1}
+        assert kernel.reduce_terms({x + y + z: 1}, reducer) == {y + z: 1}
 
     def test_traced_reduction_leaves_memo_untouched(self):
         from qmatroid.ncpoly import Algebra, monic_data, normal_remainder, replay_trace

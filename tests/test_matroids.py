@@ -416,6 +416,12 @@ class TestRevlexCodec:
         with pytest.raises(BadHexLength):
             decode_revlex("zz", 4, 2)
 
+    @pytest.mark.parametrize("literal", ["0x3", "0_3", "+03"])
+    def test_python_int_literals_rejected(self, literal):
+        # int(s, 16) reads each of these as the code 003
+        with pytest.raises(BadHexLength):
+            decode_revlex(literal, 5, 2)
+
     def test_padding_bits_rejected(self):
         # n=4 r=2 has 6 subsets; bits 6 and 7 are padding
         with pytest.raises(BadHexLength):
