@@ -58,7 +58,8 @@ def _render_matroid(m, hexcode: str) -> str:
 
 def cmd_decode(args) -> int:
     m = decode_revlex(args.hex, args.n, args.r)
-    text = _render_matroid(m, args.hex)
+    code = encode_revlex(m).hex  # the argument as decode_revlex read it: stripped, lowercased
+    text = _render_matroid(m, code)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -109,10 +110,11 @@ def _budgets(args) -> EngineConfig:
 
 def cmd_gb(args) -> int:
     m = decode_revlex(args.hex, args.n, args.r)
+    code = encode_revlex(m).hex
     spec = quantum_aut_spec(m, args.axioms)
     gb = buchberger(spec.generators, _budgets(args))
-    out = args.out or f"{args.hex}_{args.n}_{args.r}_{args.axioms}.gb"
-    write_gb(gb, out, matroid_hex=args.hex, n=args.n, r=args.r, axioms=args.axioms)
+    out = args.out or f"{code}_{args.n}_{args.r}_{args.axioms}.gb"
+    write_gb(gb, out, matroid_hex=code, n=args.n, r=args.r, axioms=args.axioms)
     print(
         f"status={gb.status.render()} degree={gb.max_degree} "
         f"generators={len(gb.generators)} file={out}"
@@ -122,10 +124,11 @@ def cmd_gb(args) -> int:
 
 def cmd_commutativity(args) -> int:
     m = decode_revlex(args.hex, args.n, args.r)
+    code = encode_revlex(m).hex
     spec = quantum_aut_spec(m, args.axioms)
     verdict = decide_commutativity(spec, _budgets(args), shortcuts=not args.no_shortcuts)
     degree = "-" if verdict.gb is None else str(verdict.gb.max_degree)
-    print(f"matroid={args.hex} n={args.n} r={args.r} axioms={args.axioms}")
+    print(f"matroid={code} n={args.n} r={args.r} axioms={args.axioms}")
     print(
         f"verdict={verdict.verdict} method={verdict.method} "
         f"status={verdict.status} degree={degree}"
@@ -137,7 +140,7 @@ def cmd_commutativity(args) -> int:
     if args.out:
         with open(args.out, "a", encoding="utf-8") as fh:
             fh.write(
-                f"{args.hex}\t{args.n}\t{args.r}\t{args.axioms}\t"
+                f"{code}\t{args.n}\t{args.r}\t{args.axioms}\t"
                 f"{verdict.verdict}\t{verdict.method}\t{verdict.status}\t{degree}\n"
             )
     return 0

@@ -4,11 +4,11 @@ The engine keeps a priority queue of obstructions keyed by the degree of the
 common multiple word (FIFO among equal degrees, which makes the selection
 fair), reduces S-polynomials to normal form against the current basis through
 one kernel.Reducer, and appends nonzero remainders.  Appending costs about the
-size of the new leading word, not of the basis: the reducer's automaton insert
-keeps every failure link exact, and prefix, suffix and factor indexes of the
-basis leading words name the only earlier elements whose obstructions with
-the new one can be nonempty.  The finished basis is interreduced, which makes
-it the reduced basis the .gb files record (Mora, TCS 134, 1994).
+size of the new leading word, not of the basis: the reducer's trie insert
+walks that word once, and prefix, suffix and factor indexes of the basis
+leading words name the only earlier elements whose obstructions with the new
+one can be nonempty.  The finished basis is interreduced, which makes it the
+reduced basis the .gb files record (Mora, TCS 134, 1994).
 
 The feed skips a monomial input whose word contains the word of a monomial
 already known to lie in the ideal: an earlier monomial input, or a basis
@@ -481,6 +481,9 @@ def read_gb(fp) -> tuple[dict, GroebnerBasis]:
     with _opened(fp, "r") as stream:
         header = stream.readline().strip()
         fields = dict(part.partition("=")[::2] for part in header.split())
+        missing = [k for k in ("matroid", "n", "r", "axioms", "status", "degree") if k not in fields]
+        if missing:
+            raise ValueError(f"basis file header {header!r} lacks {', '.join(missing)}")
         if fields.get("order", ORDER) != ORDER:
             raise ValueError(f"unsupported order={fields['order']}; only {ORDER} is read")
         n = int(fields["n"])

@@ -1,4 +1,4 @@
-"""Kernel: word order, divisibility automaton, reducer, overlap scan.
+"""Kernel: word order, divisibility trie, reducer, overlap scan.
 
 Words over the free algebra are bytes; each byte is a variable id.
 
@@ -50,26 +50,18 @@ def compare_words(w1: bytes, w2: bytes) -> int:
 
 
 class Automaton:
-    """Aho-Corasick automaton over byte words with incremental insertion.
+    """Trie of byte pattern words; first_match walks it from each text position.
 
-    Every insert keeps the failure links and outputs exact (Aho and Corasick,
-    CACM 18, 1975; Meyer, "Incremental string matching", IPL 21, 1985), so a
-    query never rebuilds anything.  New nodes are added one prefix at a time:
-    a new node's failure link comes from its parent's failure chain, and older
-    nodes whose word ends with the new node's word are found in a
-    suffix-to-nodes index and re-pointed to it when it is longer than their
-    current link.  first_match reports the match with the earliest end
-    position; ties at one position resolve to the lowest pattern index.
+    A walk stops at the first pattern node it reaches, the shortest and so
+    earliest-ending pattern from its start, and goes no further than the best
+    end found so far.  The earliest end wins; ties at one end go to the lowest
+    pattern index.  A query costs at most |text| times the longest pattern.
     """
 
     def __init__(self, patterns: list[bytes] | None = None):
         self._goto: list[dict[int, int]] = [{}]
-        self._fail: list[int] = [0]
-        self._depth: list[int] = [0]
-        # lowest index of a pattern that is a suffix of the node's word, -1 when none
+        # lowest index of a pattern equal to the node's word, -1 when none
         self._out: list[int] = [-1]
-        # word -> nodes whose word has it as a proper, nonempty suffix
-        self._suffixed: dict[bytes, list[int]] = {}
         self._count = 0
         if patterns:
             for p in patterns:
@@ -82,65 +74,44 @@ class Automaton:
         if not pattern:
             raise ValueError("empty pattern not allowed")
         goto = self._goto
-        fail = self._fail
-        depth = self._depth
-        out = self._out
-        suffixed = self._suffixed
         node = 0
-        for k, b in enumerate(pattern, 1):
+        for b in pattern:
             nxt = goto[node].get(b)
             if nxt is None:
-                # the links on the parent's failure chain are exact: every
-                # node added so far was re-pointed when it was added
-                f = 0
-                if node:
-                    f = fail[node]
-                    while f and b not in goto[f]:
-                        f = fail[f]
-                    f = goto[f].get(b, 0)
                 nxt = len(goto)
                 goto[node][b] = nxt
                 goto.append({})
-                fail.append(f)
-                depth.append(k)
-                out.append(out[f])
-                word = pattern[:k]
-                for i in range(1, k):
-                    suffix = word[i:]
-                    holders = suffixed.get(suffix)
-                    if holders is None:
-                        suffixed[suffix] = [nxt]
-                    else:
-                        holders.append(nxt)
-                # older nodes ending with the new word now fail to it
-                for x in suffixed.get(word, ()):
-                    if depth[fail[x]] < k:
-                        fail[x] = nxt
+                self._out.append(-1)
             node = nxt
         idx = self._count
         self._count += 1
-        # the new index is the largest, so only nodes without an output change
-        if out[node] == -1:
-            out[node] = idx
-            for x in suffixed.get(pattern, ()):
-                if out[x] == -1:
-                    out[x] = idx
+        if self._out[node] == -1:
+            self._out[node] = idx
         return idx
 
     def first_match(self, text: bytes) -> tuple[int, int]:
         """(end_index, pattern_index) of the earliest-ending match, or (-1, -1)."""
         goto = self._goto
-        fail = self._fail
         out = self._out
-        node = 0
-        for pos, b in enumerate(text):
-            while node and b not in goto[node]:
-                node = fail[node]
-            node = goto[node].get(b, 0)
-            o = out[node]
-            if o != -1:
-                return (pos, o)
-        return (-1, -1)
+        root = goto[0]
+        n = end = len(text)
+        idx = -1
+        for start, b in enumerate(text):
+            if start > end:
+                break
+            node = root.get(b)
+            pos = start
+            while node is not None:
+                o = out[node]
+                if o != -1:
+                    if pos < end or o < idx:
+                        end, idx = pos, o
+                    break
+                pos += 1
+                if pos == n or pos > end:
+                    break
+                node = goto[node].get(text[pos])
+        return (end, idx) if idx >= 0 else (-1, -1)
 
 
 class Reducer:

@@ -480,8 +480,6 @@ def enumerate_matroids(n: int, r: int, up_to_iso: bool = False) -> list[Matroid]
     if r < 0 or r > n:
         raise RankOutOfRange(f"rank {r} out of range 0..{n}")
     ground = GroundSet(tuple(range(1, n + 1)))
-    if r == 0:
-        return [Matroid(ground, frozenset({0}), 0)]
     combos = [_mask(c) for c in combinations(range(1, n + 1), r)]
     found: list[Matroid] = []
     for selector in range(1, 1 << len(combos)):

@@ -49,6 +49,11 @@ class TestDecode:
         assert code == 0
         assert target.read_text(encoding="utf-8") == out
 
+    def test_code_is_printed_as_decoded(self, capsys):
+        code, out, _ = run(capsys, "decode", "1F", "4", "2")
+        assert code == 0
+        assert "# hex=1f bases=5 nonbases=1" in out.splitlines()
+
     def test_infinite_girth_marker(self, capsys):
         code, out, _ = run(capsys, "decode", "1", "2", "2")
         assert code == 0
@@ -157,6 +162,14 @@ class TestGb:
         code, out, _ = run(capsys, "gb", "3", "2", "1", "--axioms", "circuits")
         assert code == 0
         assert (tmp_path / "3_2_1_circuits.gb").exists()
+
+    def test_uppercase_code_writes_the_lowercase_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "gb", "3F", "4", "2")[0] == 0
+        upper = (tmp_path / "3f_4_2_bases.gb").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["3f_4_2_bases.gb"]
+        assert run(capsys, "gb", "3f", "4", "2")[0] == 0
+        assert (tmp_path / "3f_4_2_bases.gb").read_bytes() == upper
 
     def test_truncated_run_exits_four(self, capsys, tmp_path):
         code, out, _ = run(
@@ -294,6 +307,13 @@ class TestCommutativity:
         lines = log.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2
         assert lines[0].split("\t")[:4] == ["f", "4", "3", "bases"]
+
+    def test_code_is_reported_as_decoded(self, capsys, tmp_path):
+        log = tmp_path / "runs.tsv"
+        code, out, _ = run(capsys, "commutativity", "1F", "4", "2", "--out", str(log))
+        assert code == 0
+        assert out.splitlines()[0] == "matroid=1f n=4 r=2 axioms=bases"
+        assert log.read_text(encoding="utf-8").split("\t")[0] == "1f"
 
 
 class TestTables:

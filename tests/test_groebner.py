@@ -691,6 +691,19 @@ class TestSerialization:
         _, loaded = read_gb(io.StringIO(text.replace(" order=degrevlex", "", 1)))
         assert set(loaded.generators) == set(u24_gb.generators)
 
+    @pytest.mark.parametrize(
+        "key", ["empty file", "matroid", "n", "r", "axioms", "status", "degree"]
+    )
+    def test_missing_header_key_is_rejected(self, key):
+        header = "matroid=3 n=2 r=1 axioms=bases order=degrevlex status=complete degree=0"
+        if key == "empty file":
+            text, missing = "", "matroid, n, r, axioms, status, degree"
+        else:
+            text = " ".join(f for f in header.split() if not f.startswith(f"{key}=")) + "\n"
+            missing = key
+        with pytest.raises(ValueError, match=f"lacks {missing}$"):
+            read_gb(io.StringIO(text))
+
     def test_round_trip_through_path(self, tmp_path, alg2):
         gb = buchberger(qsym_ideal_generators(alg2), EngineConfig(time_budget=30.0))
         path = str(tmp_path / "basis.gb")

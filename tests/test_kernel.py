@@ -44,18 +44,6 @@ def related_patterns(rng, alphabet, count):
     return out
 
 
-def trie_words(auto):
-    """Word of every automaton node, by node id."""
-    words = {0: b""}
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for b, child in auto._goto[node].items():
-            words[child] = words[node] + bytes([b])
-            stack.append(child)
-    return [words[i] for i in range(len(words))]
-
-
 def naive_obstructions(u, v, same):
     """Every overlapping placement of u and v in a common word, by brute force.
 
@@ -107,6 +95,13 @@ class TestAutomaton:
         assert auto.first_match(b"xabc") == (3, 0)
         auto2 = mod.Automaton([b"bc", b"abc"])
         assert auto2.first_match(b"xabc") == (3, 0)
+        # a later, shorter pattern ends first, so the scan goes on after its first hit
+        auto3 = mod.Automaton([b"abcd", b"bc"])
+        assert auto3.first_match(b"xabcd") == (3, 1)
+        # a duplicate pattern gets its own index, but the first one is reported
+        dup = mod.Automaton([b"ab"])
+        assert dup.insert(b"ab") == 1
+        assert dup.first_match(b"xab") == (2, 0)
 
     def test_incremental_insert_matches_fresh_build(self, mod):
         rng = random.Random(31)
@@ -124,7 +119,7 @@ class TestAutomaton:
                 assert auto.first_match(t) == fresh.first_match(t)
 
     def test_grown_one_pattern_at_a_time_vs_naive(self, mod):
-        # small alphabets and related patterns make inserts re-point old links
+        # small alphabets and related patterns make many patterns share trie paths
         rng = random.Random(61)
         for _ in range(150):
             alphabet = list(range(rng.randrange(2, 5)))
@@ -139,25 +134,6 @@ class TestAutomaton:
                 for t in texts + patterns[: k + 1]:
                     assert auto.first_match(t) == naive_first_match(patterns[: k + 1], t)
 
-    def test_links_exact_after_every_insert(self, mod):
-        # failure link: longest proper suffix in the trie; output: lowest
-        # index of a pattern that is a suffix of the node's word
-        rng = random.Random(67)
-        for _ in range(200):
-            alphabet = list(range(rng.randrange(2, 5)))
-            auto = mod.Automaton()
-            patterns = []
-            for p in related_patterns(rng, alphabet, rng.randrange(1, 14)):
-                auto.insert(p)
-                patterns.append(p)
-                words = trie_words(auto)
-                node = {w: i for i, w in enumerate(words)}
-                for i, w in enumerate(words[1:], 1):
-                    longest = next(w[j:] for j in range(1, len(w) + 1) if w[j:] in node)
-                    assert auto._fail[i] == node[longest], (patterns, w)
-                    ends = [k for k, q in enumerate(patterns) if w.endswith(q)]
-                    assert auto._out[i] == min(ends, default=-1), (patterns, w)
-
     def test_agrees_with_naive_scan_1200_cases(self, mod):
         rng = random.Random(37)
         checked = 0
@@ -170,8 +146,10 @@ class TestAutomaton:
             checked += 1
 
     def test_ideal_leading_words_vs_naive(self, mod):
+        from qmatroid.groebner import EngineConfig, buchberger
+        from qmatroid.matroids import uniform
         from qmatroid.ncpoly import Algebra, monic_data
-        from qmatroid.quantum import qsym_ideal_generators
+        from qmatroid.quantum import qsym_ideal_generators, quantum_aut_spec
 
         alg = Algebra((1, 2, 3))
         patterns = [monic_data(g.terms)[0] for g in qsym_ideal_generators(alg)]
@@ -179,6 +157,15 @@ class TestAutomaton:
         rng = random.Random(41)
         for _ in range(1000):
             text = bytes(rng.randrange(alg.nvars) for _ in range(5))
+            assert auto.first_match(text) == naive_first_match(patterns, text)
+        # the complete U(2,4) bases basis, on texts of up to 7 letters, the
+        # longest the engine was seen to match
+        gb = buchberger(quantum_aut_spec(uniform(2, 4), "bases").generators, EngineConfig())
+        assert gb.status.is_complete
+        patterns = [monic_data(g.terms)[0] for g in gb.generators]
+        auto = mod.Automaton(patterns)
+        for _ in range(1000):
+            text = bytes(rng.randrange(gb.algebra.nvars) for _ in range(rng.randrange(1, 8)))
             assert auto.first_match(text) == naive_first_match(patterns, text)
 
 
