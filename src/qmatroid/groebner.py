@@ -137,6 +137,8 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.degree_bound is not None and self.degree_bound < 1:
             raise ValueError("degree bound must be positive")
+        if self.max_iterations is not None and self.max_iterations < 0:
+            raise ValueError("iteration cap must not be negative")
 
 
 @dataclass(frozen=True)
@@ -389,14 +391,15 @@ def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
     So the eviction scan is skipped otherwise; an eviction starts a fresh
     reducer over the elements that remain.
 
-    Phase two reduces every tail, in ascending leading-word order, through
-    phase one's reducer, each reduced element replacing its entry as it is
-    done.  The reducer's patterns are in acceptance order, not sorted, and
-    that cannot change a match: the kept leading words form a divisibility
-    antichain, so at most one of them ends at any position of a word, and
-    the earliest-ending match names the same element in any pattern order.
-    A kept leading word never occurs inside its own tail, because any word
-    containing it is at least as large in the admissible order.
+    Phase two takes the kept elements in ascending leading-word order,
+    reduces each tail against a fresh reducer of the elements already done,
+    and appends the result there, so that reducer's data is the output.  No
+    other kept element can match: a tail word and every word it rewrites to
+    lie below the element's leading word, and a leading word that divides a
+    word is no larger than it, because the order is admissible.  The kept
+    leading words form a divisibility antichain, so at most one of them ends
+    at any position of a word, and the earliest-ending match names the same
+    element in any pattern order.
 
     Phase two stays a second pass.  A single pass that puts back on the
     queue every kept element whose tail contains a newly kept, smaller
@@ -404,13 +407,15 @@ def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
     Groebner basis normal forms depend on the path: its output differs on
     some such inputs (TestInterreduce pins one).
 
-    The kept elements live only in the reducer, in kernel form; polynomials
-    are built from it once, on return.
+    The kept elements live only in the reducers, in kernel form; polynomials
+    are built from them once, on return.
     """
     pending = [p for p in polys if not p.is_zero()]
     if not pending:
         return []
     alg = pending[0].alg
+    if any(p.alg != alg for p in pending):
+        raise VariableUniverseMismatch("polynomials live in different algebras")
     heap = [(kernel.sort_key(p.leading_word()), seq, p.terms) for seq, p in enumerate(pending)]
     heapify(heap)
     seq = len(heap)
@@ -441,12 +446,10 @@ def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
             heappush(heap, (kernel.sort_key(d[0]), seq, data_terms(d)))
             seq += 1
 
-    data = reducer.data
-    order = sorted(range(len(data)), key=lambda i: kernel.sort_key(data[i][0]))
-    for i in order:
-        lt, tail = data[i]
-        reducer.replace(i, monic_data({lt: 1, **kernel.reduce_terms(dict(tail), reducer)}))
-    return [NcPolynomial(alg, data_terms(data[i])) for i in order]
+    final = kernel.Reducer()
+    for lt, tail in sorted(reducer.data, key=lambda d: kernel.sort_key(d[0])):
+        final.append(monic_data({lt: 1, **kernel.reduce_terms(dict(tail), final)}))
+    return [NcPolynomial(alg, data_terms(d)) for d in final.data]
 
 
 # -- serialization ------------------------------------------------------------
@@ -498,11 +501,14 @@ def read_gb(fp) -> tuple[dict, GroebnerBasis]:
         generators=tuple(gens),
         status=GBStatus.parse(fields["status"]),
     )
+    degree = int(fields["degree"])
+    if degree != gb.max_degree:
+        raise ValueError(f"header degree={degree} but the generators have degree {gb.max_degree}")
     meta = {
         "matroid": fields["matroid"],
         "n": n,
         "r": int(fields["r"]),
         "axioms": fields["axioms"],
-        "degree": int(fields["degree"]),
+        "degree": degree,
     }
     return meta, gb

@@ -4,15 +4,15 @@ Words over the free algebra are bytes; each byte is a variable id.
 
 Every reduction is reduce_terms(terms, reducer).  A Reducer holds a monic
 basis, its matching automaton and an exact normal-form memo, kept in step,
-so a memo is only read against the basis it was filled from.  Between two
-changes to the basis every word is rewritten by a fixed rule, so the normal
-form is linear, NF(sum c*w) = sum c*NF(w), and a stored NF(w) can stand in
-for the rewrites of w.  A change whose leading word has length n clears the
-memo for lengths >= n only: the order is graded, so no rewrite makes a word
-longer, and a shorter word and its whole rewrite chain cannot contain the
-new leading word.  Two bounds keep the memo small: it stores only words no
-longer than the longest leading word, and a word only from its second
-meeting since its length was last cleared.
+so a memo is only read against the basis it was filled from.  The basis
+only grows, by append.  Between two appends every word is rewritten by a
+fixed rule, so the normal form is linear, NF(sum c*w) = sum c*NF(w), and a
+stored NF(w) can stand in for the rewrites of w.  An append whose leading
+word has length n clears the memo for lengths >= n only: the order is
+graded, so no rewrite makes a word longer, and a shorter word and its whole
+rewrite chain cannot contain the new leading word.  Two bounds keep the
+memo small: it stores only words no longer than the longest leading word,
+and a word only from its second meeting since its length was last cleared.
 
 Word order (graded, admissible): shorter words first; equal lengths compare
 letterwise from the right, and the word whose first differing letter is the
@@ -119,16 +119,15 @@ class Reducer:
 
     data[i] = (leading word, descending tail terms) of a monic element, and
     automaton pattern i is data[i][0], so a match of pattern i is
-    len(data[i][0]) letters long.  append is the only way in and replace the
-    only way to swap an entry; both keep the three fields in step.
+    len(data[i][0]) letters long.  append is the only way to change a
+    Reducer, and it keeps the three fields in step.
 
     memo[n] maps a word of length n to its normal form against the current
     data, a flat tuple (w0, c0, w1, c1, ...), or to None when the word has
     been met once since its length was last cleared.  There is one dict per
     length from 0 to that of the longest pattern, and no longer word is
-    stored.  append(d) and replace(i, d) clear the lengths >= len(d[0]) and
-    no others, which keeps every stored normal form exact (see the module
-    docstring).
+    stored.  append(d) clears the lengths >= len(d[0]) and no others, which
+    keeps every stored normal form exact (see the module docstring).
     """
 
     def __init__(self, data: Iterable[tuple[bytes, tuple]] = ()):
@@ -141,17 +140,8 @@ class Reducer:
     def append(self, d: tuple[bytes, tuple]) -> None:
         self.automaton.insert(d[0])
         self.data.append(d)
-        self._forget(len(d[0]))
-
-    def replace(self, i: int, d: tuple[bytes, tuple]) -> None:
-        """Swap entry i for d, which must have the same leading word."""
-        if d[0] != self.data[i][0]:
-            raise ValueError("replace keeps the leading word; append a new one")
-        self.data[i] = d
-        self._forget(len(d[0]))
-
-    def _forget(self, n: int) -> None:
-        """Clear the memo for word lengths >= n and keep one dict per length <= n."""
+        # clear the memo for word lengths >= n and keep one dict per length <= n
+        n = len(d[0])
         memo = self.memo
         for k in range(n, len(memo)):
             memo[k].clear()

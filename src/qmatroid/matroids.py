@@ -117,7 +117,7 @@ class GroundSet:
             raise MatroidError("ground set must be nonempty")
         if len(elems) > 31:
             raise TooLarge(f"ground set has {len(elems)} elements, limit is 31")
-        if any(not isinstance(x, int) or x < 1 or x > 31 for x in elems):
+        if any(type(x) is not int or x < 1 or x > 31 for x in elems):
             raise MatroidError(f"labels must be integers in 1..31, got {elems}")
         if any(a >= b for a, b in zip(elems, elems[1:])):
             raise MatroidError(f"labels must be strictly increasing, got {elems}")

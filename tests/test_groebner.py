@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import heapq
 import io
 import random
 from fractions import Fraction
@@ -30,6 +31,8 @@ from qmatroid.ncpoly import (
     NcPolynomial,
     VariableUniverseMismatch,
     ZeroPolynomial,
+    data_terms,
+    monic_data,
     normal_remainder,
 )
 from qmatroid.quantum import AXIOM_KINDS, qsym_ideal_generators, quantum_aut_spec
@@ -212,6 +215,12 @@ class TestEngineConfig:
     def test_degree_bound_must_be_positive(self, bad):
         with pytest.raises(ValueError):
             EngineConfig(degree_bound=bad)
+
+    def test_iteration_cap_must_not_be_negative(self):
+        with pytest.raises(ValueError):
+            EngineConfig(max_iterations=-1)
+        # zero iterations and a zero time budget stay valid: an immediate abort
+        assert EngineConfig(max_iterations=0, time_budget=0.0).max_iterations == 0
 
 
 class TestBuchberger:
@@ -555,6 +564,59 @@ class TestCompleteness:
             assert_buchberger_criterion(gb)
 
 
+def random_poly(rng, alg: Algebra) -> NcPolynomial:
+    """A few terms on words of up to four letters, with small rational coefficients.
+
+    Words use the first three variables only, so leading words often divide
+    tail words.  The first word has a letter, so no input is a constant.
+    """
+    return alg.poly(
+        {
+            bytes(rng.randrange(3) for _ in range(rng.randrange(i > 0, 5))): Fraction(
+                rng.choice((-3, -2, -1, 1, 2, 5)), rng.choice((1, 1, 2))
+            )
+            for i in range(rng.randrange(1, 5))
+        }
+    )
+
+
+def in_place_interreduce(polys):
+    """Reference interreduction, memo-free, with the tails reduced in place.
+
+    Phase one keeps heads as interreduce does, but rescans every kept word
+    for eviction.  Phase two reduces each tail in ascending leading-word order
+    against all kept elements, in acceptance order, the ones already done
+    with their reduced tails swapped in.
+    """
+    polys = [p for p in polys if not p.is_zero()]
+    if not polys:
+        return []
+    alg = polys[0].alg
+    heap = [(kernel.sort_key(p.leading_word()), seq, p.terms) for seq, p in enumerate(polys)]
+    heapq.heapify(heap)
+    seq = len(heap)
+    kept = []
+    while heap:
+        _, _, terms = heapq.heappop(heap)
+        rem = kernel.reduce_terms(terms, kernel.Reducer(kept), trace=[])
+        if not rem:
+            continue
+        xdata = monic_data(rem)
+        if not xdata[0]:
+            return [alg.one()]
+        for d in [d for d in kept if xdata[0] in d[0]]:
+            kept.remove(d)
+            heapq.heappush(heap, (kernel.sort_key(d[0]), seq, data_terms(d)))
+            seq += 1
+        kept.append(xdata)
+    order = sorted(range(len(kept)), key=lambda i: kernel.sort_key(kept[i][0]))
+    for i in order:
+        lt, tail = kept[i]
+        reduced = kernel.reduce_terms(dict(tail), kernel.Reducer(kept), trace=[])
+        kept[i] = monic_data({lt: 1, **reduced})
+    return [NcPolynomial(alg, data_terms(kept[i])) for i in order]
+
+
 class TestInterreduce:
     def test_empty_input(self):
         assert interreduce([]) == []
@@ -574,7 +636,7 @@ class TestInterreduce:
     def test_eviction_of_an_earlier_kept_word(self, monkeypatch, alg3):
         # u11*u12*u13 + u12 reduces to u12, whose word divides the kept
         # u11*u12 (but not u13*u13): the eviction scan runs and starts one
-        # reducer beyond the initial one, which phase two reuses
+        # reducer beyond the initial one; phase two builds a third
         built = []
 
         class Spy(kernel.Automaton):
@@ -586,7 +648,7 @@ class TestInterreduce:
         a, b, c = alg3.gen(1, 1), alg3.gen(1, 2), alg3.gen(1, 3)
         reduced = interreduce([a * b, c * c, a * b * c + b])
         assert reduced == [b, c * c]
-        assert len(built) == 2
+        assert len(built) == 3
 
     def test_non_groebner_input_keeps_two_phase_output(self, alg2):
         # not a Groebner basis, so normal forms depend on the reduction path:
@@ -607,6 +669,19 @@ class TestInterreduce:
         ]
         reduced = interreduce([alg2.parse_poly(s) for s in given])
         assert [alg2.format_poly(p) for p in reduced] == expected
+
+    def test_rejects_mixed_algebras(self, alg2, alg3):
+        u11, u12, u22 = alg2.gen(1, 1), alg2.gen(1, 2), alg2.gen(2, 2)
+        with pytest.raises(VariableUniverseMismatch):
+            interreduce([u11 * u22 - u12, alg3.gen(2, 1)])
+
+    def test_equals_in_place_reference_on_random_inputs(self, alg2, alg3):
+        rng = random.Random(61)
+        for k in range(300):
+            alg = alg2 if k % 2 else alg3
+            polys = [random_poly(rng, alg) for _ in range(rng.randrange(3, 7))]
+            expected = [alg.format_poly(p) for p in in_place_interreduce(polys)]
+            assert [alg.format_poly(p) for p in interreduce(polys)] == expected, polys
 
     def test_no_leading_word_divides_another(self, alg3):
         reduced = interreduce(list(qsym_ideal_generators(alg3)))
@@ -702,6 +777,16 @@ class TestSerialization:
             text = " ".join(f for f in header.split() if not f.startswith(f"{key}=")) + "\n"
             missing = key
         with pytest.raises(ValueError, match=f"lacks {missing}$"):
+            read_gb(io.StringIO(text))
+
+    @pytest.mark.parametrize("claimed, actual", [(9, 1), (0, 1), (1, 0)])
+    def test_header_degree_must_match_the_generators(self, claimed, actual):
+        body = "u[1,1] - 1\n" if actual else ""
+        text = (
+            "matroid=3 n=2 r=1 axioms=bases order=degrevlex status=complete "
+            f"degree={claimed}\n{body}"
+        )
+        with pytest.raises(ValueError, match=f"degree={claimed} .* degree {actual}$"):
             read_gb(io.StringIO(text))
 
     def test_round_trip_through_path(self, tmp_path, alg2):

@@ -600,3 +600,6 @@ class TestGroundSet:
             GroundSet(())
         with pytest.raises(MatroidError):
             GroundSet(tuple(range(1, 33)))
+        # bool is a subclass of int, but True is no element label
+        with pytest.raises(MatroidError):
+            GroundSet((True, 2))
