@@ -169,9 +169,10 @@ def cmd_tables(args) -> int:
 def cmd_hom(args) -> int:
     m1 = decode_revlex(args.hex1, args.n1, args.r1)
     m2 = decode_revlex(args.hex2, args.n2, args.r2)
+    # the catalog refuses n > 5, so build it before printing anything
+    catalog = iso_class_catalog(max(args.n1, args.n2))
     counts = hom_counts(m1, m2)
     print(f"hom={counts.hom} surj={counts.surj} emb={counts.emb}")
-    catalog = iso_class_catalog(max(args.n1, args.n2))
     report = verify_decomposition(m1, m2, catalog)
     print(
         f"decomposition={'ok' if report.ok else 'MISMATCH'} "

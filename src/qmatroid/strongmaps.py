@@ -15,10 +15,19 @@ preimage of the whole target is the whole source.  A rank-0 target has no
 hyperplanes, so every map into it is strong.  is_strong_map still checks
 every flat and is the reference the enumeration is tested against.
 
-The enumeration assigns source elements depth first, in itertools.product
-order, carrying one partial preimage per target hyperplane.  A branch is
-pruned as soon as a partial preimage is not the trace of any source flat on
-the elements assigned so far, since no completion can then make it a flat.
+One walk finds every strong map.  It assigns source elements depth first,
+in itertools.product order, carrying one partial preimage per target
+hyperplane, and calls a leaf function at each strong map instead of building
+it: counting keeps a tally per image, strong_maps collects the assignments.
+A branch is pruned as soon as a partial preimage is not the trace of any
+source flat on the elements assigned so far, since no completion can then
+make it a flat.  Two exact restrictions serve the decomposition check.  For
+surjections, a branch is also pruned once fewer source elements are left
+than target elements not yet hit; for embeddings, the basepoint and every
+target element already hit are no candidates, and the count keeps the
+images of the source's rank.  No surjection goes onto a class with more
+elements than the source and no embedding comes from one with more than the
+target, so such catalog entries are skipped before their tables are built.
 Each public call builds the bitmask tables of its matroids (flats,
 hyperplanes, ranks) once and drops them when it returns.  No cache
 outlives a call: repeating a call repeats its work, and no matroid or
@@ -44,7 +53,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 from .autgroup import automorphism_group
 from .matroids import (
@@ -186,12 +195,22 @@ def _check_cap(n1: int, n2: int) -> None:
         raise TooLarge(f"{total} candidate maps exceed cap {MAP_ENUMERATION_CAP}")
 
 
-def _strong_assignments(t1: _Tables, t2: _Tables) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every strong map as (codomain indices, image mask), in product order.
+def _walk(
+    t1: _Tables,
+    t2: _Tables,
+    leaf: Callable[[list[int], int], None],
+    onto: bool = False,
+    injective: bool = False,
+) -> None:
+    """Call leaf(values, image) at every strong map, in product order.
 
-    Codomain index 0 is the basepoint and i + 1 the target's position i.
-    Source positions are assigned depth first; one preimage mask per target
-    hyperplane is carried, all packed into one integer with n1 bits each.
+    values[k] is the codomain index of source position k, where 0 is the
+    basepoint and i + 1 the target's position i, and image is the mask of
+    target positions hit.  Source positions are assigned depth first; one
+    preimage mask per target hyperplane is carried, all packed into one
+    integer with n1 bits each.  onto keeps only the maps that hit every
+    target position, injective only those that send distinct source
+    positions to distinct target positions and none to the basepoint.
     """
     n1, n2 = t1.n, t2.n
     h = len(t2.hyperplanes)
@@ -203,12 +222,16 @@ def _strong_assignments(t1: _Tables, t2: _Tables) -> Iterator[tuple[tuple[int, .
     image_bits = [0] + [1 << i for i in range(n2)]
     chunk = (1 << n1) - 1
     shifts = [j * n1 for j in range(h)]
-    codomain = range(n2 + 1)
+    codomain = range(1 if injective else 0, n2 + 1)
+    full = (1 << n2) - 1
     values = [0] * n1
 
-    def walk(k: int, packed: int, image: int):
+    def visit(k: int, packed: int, image: int) -> None:
+        # onto: the n1 - k positions left must still hit every missing one
+        if onto and n1 - k < (full & ~image).bit_count():
+            return
         if k == n1:
-            yield tuple(values), image
+            leaf(values, image)
             return
         step = t1.steps[k]
         # need_in: rows that must take position k; need_out: rows that must not
@@ -219,39 +242,49 @@ def _strong_assignments(t1: _Tables, t2: _Tables) -> Iterator[tuple[tuple[int, .
                 need_in |= 1 << j
             if not code & 2:
                 need_out |= 1 << j
+        taken = image if injective else 0
         for c in codomain:
             row = hits[c]
-            if row & need_out or need_in & ~row:
+            if row & need_out or need_in & ~row or image_bits[c] & taken:
                 continue
             values[k] = c
-            yield from walk(k + 1, packed | spread[c] << k, image | image_bits[c])
+            visit(k + 1, packed | spread[c] << k, image | image_bits[c])
 
-    return walk(0, 0, 0)
+    visit(0, 0, 0)
 
 
-def _count(t1: _Tables, t2: _Tables) -> tuple[int, int, int, dict[int, int]]:
-    """hom, surj and emb, with the number of strong maps per image mask."""
+def _count(
+    t1: _Tables, t2: _Tables, onto: bool = False, injective: bool = False
+) -> dict[int, int]:
+    """The number of strong maps per image mask, under the walk's restrictions."""
     by_image: dict[int, int] = {}
-    for _, image in _strong_assignments(t1, t2):
+
+    def tally(values: list[int], image: int) -> None:
         by_image[image] = by_image.get(image, 0) + 1
+
+    _walk(t1, t2, tally, onto, injective)
+    return by_image
+
+
+def _embeddings(t1: _Tables, t2: _Tables, by_image: dict[int, int]) -> int:
     # n1 image elements: injective and nothing sent to the basepoint; such a
     # strong map is an embedding exactly when it keeps the source's rank,
     # since a strong bijection between equal-rank matroids is an isomorphism
-    emb = sum(
+    return sum(
         count
         for image, count in by_image.items()
         if image.bit_count() == t1.n and t2.rank[image] == t1.rank[-1]
     )
-    full = (1 << t2.n) - 1
-    return sum(by_image.values()), by_image.get(full, 0), emb, by_image
 
 
 def strong_maps(m1: Matroid, m2: Matroid) -> Iterator[StrongMap]:
     """All strong maps, in itertools.product order of their target values."""
     _check_cap(m1.n, m2.n)
+    found: list[tuple[int, ...]] = []
+    _walk(_tables(m1), _tables(m2), lambda values, image: found.append(tuple(values)))
     src = m1.ground.elements
     codomain = (BASEPOINT,) + m2.ground.elements
-    for values, _ in _strong_assignments(_tables(m1), _tables(m2)):
+    for values in found:
         yield StrongMap(m1, m2, tuple(zip(src, [codomain[c] for c in values])))
 
 
@@ -269,7 +302,8 @@ class HomCounts:
 def hom_counts(m1: AnyMatroid, m2: AnyMatroid) -> HomCounts:
     """Count strong maps m1 -> m2, the surjective ones, and the embeddings."""
     _check_cap(m1.n, m2.n)
-    hom, surj, emb, by_image = _count(_tables(m1), _tables(m2))
+    t1, t2 = _tables(m1), _tables(m2)
+    by_image = _count(t1, t2)
     by_class: dict[tuple[int, tuple[int, ...]], int] = {}
     for image, count in by_image.items():
         if image:
@@ -278,6 +312,8 @@ def hom_counts(m1: AnyMatroid, m2: AnyMatroid) -> HomCounts:
         else:
             key = EMPTY_KEY
         by_class[key] = by_class.get(key, 0) + count
+    hom, surj = sum(by_image.values()), by_image.get((1 << m2.n) - 1, 0)
+    emb = _embeddings(t1, t2, by_image)
     return HomCounts(hom, surj, emb, tuple(sorted(by_class.items())))
 
 
@@ -337,11 +373,14 @@ def verify_decomposition(
     terms = []
     total = Fraction(0)
     for n in catalog:
+        # pigeonhole: no surjection onto a larger class, no embedding of one
+        if n.n > m1.n or n.n > m2.n:
+            continue
         tn = _tables(n)
-        s = _count(t1, tn)[1]
+        s = sum(_count(t1, tn, onto=True).values())
         if s == 0:
             continue
-        e = _count(tn, t2)[2]
+        e = _embeddings(tn, t2, _count(tn, t2, injective=True))
         if e == 0:
             continue
         term = DecompositionTerm(n, s, e, aut_order(n))
@@ -356,7 +395,7 @@ def hom_profile(m: AnyMatroid, catalog: list[AnyMatroid]) -> tuple[int, ...]:
     out = []
     for n in catalog:
         _check_cap(m.n, n.n)
-        out.append(_count(t, _tables(n))[0])
+        out.append(sum(_count(t, _tables(n)).values()))
     return tuple(out)
 
 
@@ -381,8 +420,8 @@ def lovasz_isomorphism_test(
         _check_cap(m1.n, n.n)
         _check_cap(m2.n, n.n)
         tn = _tables(n)
-        a = _count(t1, tn)[0]
-        b = _count(t2, tn)[0]
+        a = sum(_count(t1, tn).values())
+        b = sum(_count(t2, tn).values())
         if a != b:
             return (False, (n, a, b)) if return_witness else False
     return (True, None) if return_witness else True

@@ -41,6 +41,7 @@ from qmatroid.quantum import (
 )
 from qmatroid.strongmaps import (
     EMPTY_MATROID,
+    hom_profile,
     iso_class_catalog,
     lovasz_isomorphism_test,
     verify_decomposition,
@@ -305,6 +306,18 @@ def test_criterion_6_decomposition_and_profile_test():
         f"{decompositions} integer decomposition identities, "
         f"{profile_agreements} profile-vs-brute-force agreements, {elapsed:.1f}s",
     )
+
+
+def test_criterion_6b_hom_profiles_separate_five_element_classes():
+    # the separation theorem one size further: every class with n <= 5 has
+    # its own profile of strong-map counts into the catalog itself
+    start = time.monotonic()
+    catalog = iso_class_catalog(5)
+    profiles = {hom_profile(m, catalog) for m in catalog}
+    elapsed = time.monotonic() - start
+    ok = len(catalog) == 70 and len(profiles) == 70
+    detail = f"{len(profiles)} distinct hom profiles of {len(catalog)} classes, {elapsed:.1f}s"
+    report("6b", ok, detail)
 
 
 def _naive_first_match(patterns, text):

@@ -444,6 +444,13 @@ class TestHom:
         assert code == 0
         assert out.splitlines()[1].startswith("decomposition=ok")
 
+    def test_six_elements_exit_two_without_output(self, capsys):
+        # the catalog is guarded to n <= 5; no half result reaches stdout
+        code, out, err = run(capsys, "hom", "1", "1", "1", "fffff", "6", "3")
+        assert code == 2
+        assert out == ""
+        assert "enumeration is guarded to n <= 5, got n=6" in err
+
 
 class TestParser:
     def test_unknown_command_exits_via_argparse(self):

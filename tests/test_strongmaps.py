@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 from collections import Counter
 from itertools import product
@@ -26,11 +27,17 @@ from qmatroid.strongmaps import (
     strong_maps,
     verify_decomposition,
 )
+from qmatroid.strongmaps import _count, _embeddings, _tables
 
 
 @pytest.fixture(scope="module")
 def catalog2():
     return iso_class_catalog(2)
+
+
+@pytest.fixture(scope="module")
+def catalog4():
+    return iso_class_catalog(4)
 
 
 def brute_force_strong_maps(m1, m2):
@@ -287,3 +294,39 @@ class TestLovaszProfileTest:
         assert lovasz_isomorphism_test(uniform(2, 3), uniform(2, 3))
         assert not lovasz_isomorphism_test(uniform(1, 3), uniform(2, 3))
         assert lovasz_isomorphism_test(EMPTY_MATROID, EMPTY_MATROID, [EMPTY_MATROID])
+
+
+class TestRestrictedWalks:
+    def test_restrictions_are_exact(self, catalog4):
+        # onto and injective prune the walk; each must count exactly what the
+        # unrestricted walk's image tally says it counts
+        pairs = [(a, b) for a in catalog4 for b in catalog4] + REFERENCE_PAIRS
+        for m1, m2 in pairs:
+            t1, t2 = _tables(m1), _tables(m2)
+            by_image = _count(t1, t2)
+            onto = _count(t1, t2, onto=True)
+            assert set(onto) <= {(1 << m2.n) - 1}
+            assert sum(onto.values()) == by_image.get((1 << m2.n) - 1, 0), (m1, m2)
+            injective = _count(t1, t2, injective=True)
+            assert all(image.bit_count() == m1.n for image in injective)
+            assert _embeddings(t1, t2, injective) == _embeddings(t1, t2, by_image), (m1, m2)
+
+
+# SHA-256 of every verify_decomposition report over the ordered pairs of
+# iso_class_catalog(4), with each term's class and counts, and of every hom
+# profile against it; recorded when surj and emb were read off unrestricted
+# walks, so the onto and injective walks must reproduce every term
+GOLDEN_HOM4_DIGEST = "f9f797717428c74329ff28b724814ec85b0b5181874cfd9a476d0c479bcce167"
+
+
+class TestGoldenOutputs:
+    def test_reports_and_profiles_match_the_recorded_digest(self, catalog4):
+        h = hashlib.sha256()
+        for m1 in catalog4:
+            for m2 in catalog4:
+                rep = verify_decomposition(m1, m2, catalog4)
+                terms = [(iso_key(t.matroid), t.surj, t.emb, t.aut) for t in rep.terms]
+                h.update(repr((rep.hom, str(rep.total), terms)).encode())
+        for m in catalog4:
+            h.update(repr(hom_profile(m, catalog4)).encode())
+        assert h.hexdigest() == GOLDEN_HOM4_DIGEST
