@@ -14,6 +14,21 @@ rewrite chain cannot contain the new leading word.  Two bounds keep the
 memo small: it stores only words no longer than the longest leading word,
 and a word only from its second meeting since its length was last cleared.
 
+A longer word reuses the stored NF of its prefix.  Write NF(x)*y for
+sum cu*(u y) over NF(x) = sum cu*u.  Then NF(x y) = NF(NF(x)*y) for all
+words x and y.  If x is irreducible there is nothing to show.  Otherwise
+the earliest-ending match in x y ends inside x, and it is the one in x,
+with the same lowest-index tie at that end, so x y is rewritten to
+(rewrite of x)*y; induction over the word order and linearity finish the
+proof.  It uses only the rewrite rule, so it holds against any basis:
+complete, truncated or aborted.  The mirror form NF(x y) = NF(x*NF(y))
+does not hold in general, because the rule favours the left: the
+earliest-ending match in x y can straddle the border, rewriting y first
+can destroy it, and against a basis that is not complete two rewrite
+orders can end in different normal forms.  Every word of NF(x)*y is
+smaller than x y (graded order, shared suffix), and the prefix NF is an
+ordinary memo entry, so the clearing rule covers it too.
+
 Word order (graded, admissible): shorter words first; equal lengths compare
 letterwise from the right, and the word whose first differing letter is the
 smaller variable is the larger word.  Encoding trick: (len(w), bytes of
@@ -168,7 +183,11 @@ def reduce_terms(
     docstring): a word of length below len(memo) whose NF is stored adds
     c*NF(w) to the output.  A word met for the second time since its length
     was last cleared has its NF computed and stored first (_normal_form); any
-    other word is marked as met and takes the rewrite step above.
+    other word is marked as met and takes the rewrite step above.  A longer
+    word w looks up its prefix x = w[:len(memo) - 1] the same way, and when
+    NF(x) is stored and is not x itself, c*w is replaced by c*NF(x)*y for
+    w = x y (the prefix lemma in the module docstring); otherwise w takes
+    the rewrite step.
     """
     basis, automaton, memo = reducer.data, reducer.automaton, reducer.memo
     work = dict(terms)
@@ -176,6 +195,9 @@ def reduce_terms(
     heapify(heap)
     out: dict[bytes, Fraction] = {}
     top = len(memo) if trace is None else 0
+    # the longest stored length, the prefix length for longer words
+    bound = top - 1
+    prefixes = memo[bound] if trace is None else None
     while heap:
         n, _, w = heappop(heap)
         c = work.pop(w, None)
@@ -191,6 +213,31 @@ def reduce_terms(
                     nf = _normal_form(w, reducer)
                 _add_flat(out, nf, c)
                 continue
+        elif prefixes is not None:
+            x = w[:bound]
+            nf = prefixes.get(x, _UNSEEN)
+            if nf is _UNSEEN:
+                prefixes[x] = None
+            else:
+                if nf is None:
+                    nf = _normal_form(x, reducer)
+                if nf != (x, 1):
+                    # NF(x y) = NF(NF(x) y): replace c*w by c*sum cu*(u y)
+                    y = w[bound:]
+                    it = iter(nf)
+                    for u, cu in zip(it, it):
+                        nw = u + y
+                        old = work.get(nw)
+                        if old is None:
+                            work[nw] = c * cu
+                            heappush(heap, (-len(nw), nw[::-1], nw))
+                        else:
+                            nc = old + c * cu
+                            if nc:
+                                work[nw] = nc
+                            else:
+                                del work[nw]
+                    continue
         end, idx = automaton.first_match(w)
         if idx < 0:
             # memoized normal forms may have put w in the output already

@@ -230,8 +230,9 @@ def test_criterion_5c_girth_theorem_engine_confirmed():
         EngineConfig(time_budget=300.0),
         shortcuts=False,
     )
-    # the larger instance cannot finish its basis on a desk budget, but every
-    # commutator reducing to zero against the partial basis is still a proof
+    # the larger instance usually completes its basis well inside the budget,
+    # but how soon depends on the host, so only the verdict is asserted: every
+    # commutator reducing to zero against a partial basis is still a proof
     large = decide_commutativity(
         quantum_aut_spec(uniform(4, 5), "bases"),
         EngineConfig(time_budget=120.0),

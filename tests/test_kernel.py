@@ -266,7 +266,7 @@ class TestNormalFormMemo:
 
     def test_equals_memo_free_across_appends(self):
         rng = random.Random(53)
-        shorter = hits = 0
+        shorter = hits = prefixed = 0
         for _ in range(400):
             alphabet = list(range(rng.randrange(2, 4)))
             reducer = kernel.Reducer()
@@ -288,12 +288,19 @@ class TestNormalFormMemo:
                         if len(w) < len(reducer.memo)
                     )
                     hits += stored
+                    # input words longer than the memo bound whose prefix has a
+                    # stored normal form other than itself: the prefix step
+                    bound = len(reducer.memo) - 1
+                    for w in terms:
+                        if len(w) > bound:
+                            nf = reducer.memo[bound].get(w[:bound])
+                            prefixed += type(nf) is tuple and nf != (w[:bound], 1)
                     memoized = kernel.reduce_terms(dict(terms), reducer)
                     assert memoized == self.memo_free(reducer, terms)
                     longest = max(len(d[0]) for d in reducer.data)
                     assert all(len(w) <= longest for w in memo_words(reducer))
         # the run met every case it is meant to cover
-        assert shorter > 100 and hits > 100
+        assert shorter > 100 and hits > 100 and prefixed > 100
 
     def test_shorter_append_drops_longer_normal_forms(self):
         # x*y*z - z; then x*y - y ends earlier in x*y*z, so NF(x*y*z) turns
@@ -307,6 +314,50 @@ class TestNormalFormMemo:
         # a shorter word cannot contain the new leading word: kept
         assert reducer.memo[1] and not reducer.memo[2] and not reducer.memo[3]
         assert kernel.reduce_terms({x + y + z: 1}, reducer) == {y + z: 1}
+
+    @staticmethod
+    def queried(reducer):
+        """The texts reducer.automaton.first_match is asked about, in order."""
+        texts = []
+        first_match = reducer.automaton.first_match
+
+        def recording(text):
+            texts.append(text)
+            return first_match(text)
+
+        reducer.automaton.first_match = recording
+        return texts
+
+    def test_irreducible_prefix_takes_the_rewrite_step(self):
+        # x*y - z; the prefix y*x of y*x*y*z is irreducible, so the whole
+        # word is matched and rewritten to y*z*z, which is matched in turn
+        x, y, z = b"\x00", b"\x01", b"\x02"
+        reducer = kernel.Reducer([(x + y, ((z, -1),))])
+        texts = self.queried(reducer)
+        for _ in range(2):
+            texts.clear()
+            assert kernel.reduce_terms({y + x + y + z: 1}, reducer) == {y + z + z: 1}
+        assert reducer.memo[2][y + x] == (y + x, 1)
+        # second meeting: each prefix's NF is computed, then each whole word matched
+        assert texts == [y + x, y + x + y + z, y + z, y + z + z]
+        assert self.memo_free(reducer, {y + x + y + z: 1}) == {y + z + z: 1}
+
+    def test_prefix_normal_form_with_multi_letter_suffix(self):
+        # x*y - z and z*x - y: NF(x*y*x*y) = NF(z*(x*y)) = NF(y*y), the
+        # substituted word z*x*y reducing again through its prefix z*x
+        x, y, z = b"\x00", b"\x01", b"\x02"
+        reducer = kernel.Reducer([(x + y, ((z, -1),)), (z + x, ((y, -1),))])
+        texts = self.queried(reducer)
+        assert kernel.reduce_terms({x + y + x + y: 2}, reducer) == {y + y: 2}
+        # first meeting: the prefixes are only marked and the words rewritten
+        assert reducer.memo[2][x + y] is None and reducer.memo[2][z + x] is None
+        assert texts == [x + y + x + y, z + x + y, y + y]
+        texts.clear()
+        assert kernel.reduce_terms({x + y + x + y: 2}, reducer) == {y + y: 2}
+        assert reducer.memo[2][x + y] == (z, 1) and reducer.memo[2][z + x] == (y, 1)
+        # second meeting: no word longer than the bound is matched
+        assert all(len(t) <= 2 for t in texts)
+        assert self.memo_free(reducer, {x + y + x + y: 2}) == {y + y: 2}
 
     def test_traced_reduction_leaves_memo_untouched(self):
         from qmatroid.ncpoly import Algebra, monic_data, normal_remainder, replay_trace
