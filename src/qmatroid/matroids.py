@@ -471,7 +471,9 @@ def canonical_revlex_hex(m: Matroid) -> str:
 def enumerate_matroids(n: int, r: int, up_to_iso: bool = False) -> list[Matroid]:
     """All matroids on {1..n} of rank r, optionally one per isomorphism class.
 
-    Exhaustive search over basis families, guarded to n <= 5.
+    Exhaustive search over basis families, guarded to n <= 5.  A class
+    representative has canonical_basis_masks as its basis masks, in
+    ascending order of those tuples.
     """
     if n > 5:
         raise TooLarge(f"enumeration is guarded to n <= 5, got n={n}")

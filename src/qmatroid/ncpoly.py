@@ -21,7 +21,7 @@ parse_poly accepts the same grammar.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -103,6 +103,8 @@ class Algebra:
     """Variable universe: the free algebra on u[i,j] for i, j in a label tuple."""
 
     labels: tuple[int, ...]
+    # letter of u[row, col] by (row, col), filled in from labels
+    letter: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
@@ -113,6 +115,9 @@ class Algebra:
             raise ValueError("labels must be strictly increasing")
         if len(labels) > 16:
             raise ValueError("at most 16 labels supported (variable ids must fit a byte)")
+        n = len(labels)
+        letter = {(i, j): p * n + q for p, i in enumerate(labels) for q, j in enumerate(labels)}
+        object.__setattr__(self, "letter", letter)
 
     @property
     def n(self) -> int:
@@ -122,14 +127,12 @@ class Algebra:
     def nvars(self) -> int:
         return self.n * self.n
 
-    def _pos(self, label: int) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise VariableUniverseMismatch(f"label {label} not in algebra labels {self.labels}") from None
-
     def var_id(self, row: int, col: int) -> int:
-        return self._pos(row) * self.n + self._pos(col)
+        vid = self.letter.get((row, col))
+        if vid is None:
+            label = col if row in self.labels else row
+            raise VariableUniverseMismatch(f"label {label} not in algebra labels {self.labels}")
+        return vid
 
     def id_to_variable(self, vid: int) -> Variable:
         return Variable(self.labels[vid // self.n], self.labels[vid % self.n])
@@ -308,8 +311,10 @@ class NcPolynomial:
     def leading_term(self) -> tuple[bytes, Coeff]:
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no leading term")
-        key = kernel.sort_key
-        w = max(self.terms, key=key)
+        if len(self.terms) == 1:
+            (term,) = self.terms.items()
+            return term
+        w = max(self.terms, key=kernel.sort_key)
         return (w, self.terms[w])
 
     def leading_word(self) -> bytes:

@@ -121,14 +121,18 @@ def tuple_ideal_generators(
         raise TooLarge(
             f"tuple ideal would need {total} mismatch generators (cap {GENERATOR_CAP})"
         )
+    # var_id raises VariableUniverseMismatch for a label outside the algebra
+    for x in sorted({x for fam in tuples.values() for t in fam for x in t}):
+        alg.var_id(x, x)
+    letter = alg.letter
     gens: list[NcPolynomial] = []
     for length in sorted(tuples):
         fam = tuples[length]
         outside = [t for t in product(labels, repeat=length) if t not in fam]
         for a in sorted(fam):
             for b in outside:
-                gens.append(alg.monomial(zip(a, b)))
-                gens.append(alg.monomial(zip(b, a)))
+                gens.append(NcPolynomial(alg, {bytes([letter[p] for p in zip(a, b)]): 1}))
+                gens.append(NcPolynomial(alg, {bytes([letter[p] for p in zip(b, a)]): 1}))
     return gens
 
 

@@ -27,11 +27,17 @@ than target elements not yet hit; for embeddings, the basepoint and every
 target element already hit are no candidates, and the count keeps the
 images of the source's rank.  No surjection goes onto a class with more
 elements than the source and no embedding comes from one with more than the
-target, so such catalog entries are skipped before their tables are built.
+target, so such catalog entries are skipped before any walk.
 Each public call builds the bitmask tables of its matroids (flats,
-hyperplanes, ranks) once and drops them when it returns.  No cache
-outlives a call: repeating a call repeats its work, and no matroid or
-catalog is changed.
+hyperplanes, ranks) once and drops them when it returns; only a Catalog
+holds anything between calls.  A Catalog is the caller's table of class
+representatives, and it holds three facts about each of its own entries:
+the class key, the tables and the automorphism order, each found once, on
+first use.  iso_class_catalog takes every key from the enumeration, so no
+relabeling search runs for it.  A plain list is wrapped into a Catalog for
+the length of one call.  Strong-map counts are facts about pairs, not
+entries, and are never held: repeating a call repeats all of its counting,
+and no matroid is changed.
 
 Since images of maps can be empty, the catalog of isomorphism classes needs
 an explicit empty matroid, which the main matroid type cannot represent; the
@@ -51,8 +57,10 @@ classes, which turns isomorphism testing into comparing count vectors.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Union
 
 from .autgroup import automorphism_group
@@ -167,7 +175,9 @@ class _Tables(NamedTuple):
 
     n: int
     rank: list[int]  # rank of every position mask
-    hyperplanes: tuple[int, ...]
+    # hits[c]: bit j is set when hyperplane j holds codomain index c, where 0
+    # is the basepoint, in every hyperplane, and i + 1 is position i
+    hits: tuple[int, ...]
     # steps[k][p], for p the trace of a flat on positions below k: bit 0 is
     # set when p is also such a trace below k + 1, bit 1 when p | 1 << k is
     steps: tuple[dict[int, int], ...]
@@ -178,7 +188,10 @@ def _tables(m: AnyMatroid) -> _Tables:
     bases = (0,) if isinstance(m, _EmptyMatroid) else _position_bases(m)
     rank = _rank_table(bases, n)
     flats = _flat_masks(rank)
-    hyperplanes = tuple(f for f in flats if rank[f] == rank[-1] - 1)
+    hyperplanes = [f for f in flats if rank[f] == rank[-1] - 1]
+    hits = ((1 << len(hyperplanes)) - 1,) + tuple(
+        sum(1 << j for j, g in enumerate(hyperplanes) if g >> i & 1) for i in range(n)
+    )
     steps = []
     for k in range(n):
         below, upto = (1 << k) - 1, (1 << (k + 1)) - 1
@@ -186,7 +199,7 @@ def _tables(m: AnyMatroid) -> _Tables:
         steps.append(
             {f & below: (f & below in traces) | (f & below | 1 << k in traces) << 1 for f in flats}
         )
-    return _Tables(n, rank, hyperplanes, tuple(steps))
+    return _Tables(n, rank, hits, tuple(steps))
 
 
 def _check_cap(n1: int, n2: int) -> None:
@@ -213,11 +226,8 @@ def _walk(
     positions to distinct target positions and none to the basepoint.
     """
     n1, n2 = t1.n, t2.n
-    h = len(t2.hyperplanes)
-    # hits[c]: the hyperplanes whose preimage gains an element sent to c
-    hits = [(1 << h) - 1] + [
-        sum(1 << j for j, g in enumerate(t2.hyperplanes) if g >> i & 1) for i in range(n2)
-    ]
+    hits = t2.hits
+    h = hits[0].bit_length()
     spread = [sum(1 << (j * n1) for j in range(h) if c >> j & 1) for c in hits]
     image_bits = [0] + [1 << i for i in range(n2)]
     chunk = (1 << n1) - 1
@@ -230,7 +240,7 @@ def _walk(
         # onto: the n1 - k positions left must still hit every missing one
         if onto and n1 - k < (full & ~image).bit_count():
             return
-        if k == n1:
+        if k == n1:  # only an empty source gets here; the loop below ends the rest
             leaf(values, image)
             return
         step = t1.steps[k]
@@ -248,7 +258,11 @@ def _walk(
             if row & need_out or need_in & ~row or image_bits[c] & taken:
                 continue
             values[k] = c
-            visit(k + 1, packed | spread[c] << k, image | image_bits[c])
+            if k + 1 < n1:
+                visit(k + 1, packed | spread[c] << k, image | image_bits[c])
+            elif not onto or image | image_bits[c] == full:
+                # the last position: each c left completes a strong map
+                leaf(values, image | image_bits[c])
 
     visit(0, 0, 0)
 
@@ -317,12 +331,71 @@ def hom_counts(m1: AnyMatroid, m2: AnyMatroid) -> HomCounts:
     return HomCounts(hom, surj, emb, tuple(sorted(by_class.items())))
 
 
-def iso_class_catalog(max_n: int) -> list[AnyMatroid]:
+class CatalogEntry:
+    """One catalog matroid with its class key, tables and automorphism
+    order, each computed on first use and then held."""
+
+    def __init__(self, matroid: AnyMatroid, key: tuple[int, tuple[int, ...]] | None = None):
+        self.matroid = matroid
+        if key is not None:
+            self.key = key
+
+    @cached_property
+    def key(self) -> tuple[int, tuple[int, ...]]:
+        return iso_key(self.matroid)
+
+    @cached_property
+    def tables(self) -> _Tables:
+        return _tables(self.matroid)
+
+    @cached_property
+    def aut(self) -> int:
+        return aut_order(self.matroid)
+
+
+class Catalog(Sequence):
+    """A sequence of class representatives that holds facts about each entry.
+
+    It reads as the tuple of its matroids; slicing and + give catalogs that
+    share the entries, and so what they hold.
+    """
+
+    def __init__(self, entries: Iterable[CatalogEntry]):
+        self.entries = tuple(entries)
+
+    @classmethod
+    def wrap(cls, catalog: Iterable[AnyMatroid]) -> Catalog:
+        """catalog itself if it is a Catalog, else its matroids with nothing held yet."""
+        if isinstance(catalog, Catalog):
+            return catalog
+        return cls(CatalogEntry(m) for m in catalog)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Catalog(self.entries[i])
+        return self.entries[i].matroid
+
+    def __iter__(self) -> Iterator[AnyMatroid]:
+        return (e.matroid for e in self.entries)
+
+    def __add__(self, other: Iterable[AnyMatroid]) -> Catalog:
+        return Catalog(self.entries + Catalog.wrap(other).entries)
+
+
+def iso_class_catalog(max_n: int) -> Catalog:
     """One representative per isomorphism class with at most max_n elements."""
-    out: list[AnyMatroid] = [EMPTY_MATROID]
+    entries = [CatalogEntry(EMPTY_MATROID, EMPTY_KEY)]
     for n in range(1, max_n + 1):
-        out.extend(enumerate_all_matroids(n, up_to_iso=True))
-    return out
+        # each representative is built on its canonical basis masks, so
+        # those masks, sorted, are its key
+        entries.extend(
+            CatalogEntry(m, (n, tuple(sorted(m.basis_masks))))
+            for m in enumerate_all_matroids(n, up_to_iso=True)
+        )
+    return Catalog(entries)
 
 
 @dataclass(frozen=True)
@@ -349,7 +422,7 @@ class DecompositionReport:
 
 
 def verify_decomposition(
-    m1: AnyMatroid, m2: AnyMatroid, catalog: list[AnyMatroid]
+    m1: AnyMatroid, m2: AnyMatroid, catalog: Iterable[AnyMatroid]
 ) -> DecompositionReport:
     """Check hom = sum over classes of surj * emb / aut against a catalog.
 
@@ -358,7 +431,8 @@ def verify_decomposition(
     and ValueError when the catalog repeats a class, whose term would then
     be counted twice.
     """
-    keys = Counter(iso_key(n) for n in catalog)
+    entries = Catalog.wrap(catalog).entries
+    keys = Counter(e.key for e in entries)
     repeated = sorted(k for k, count in keys.items() if count > 1)
     if repeated:
         raise ValueError(f"catalog repeats isomorphism classes with keys {repeated}")
@@ -366,43 +440,43 @@ def verify_decomposition(
     missing = [k for k, _ in direct.by_image_class if k not in keys]
     if missing:
         raise CatalogIncomplete(f"catalog lacks image classes with keys {missing}")
-    for n in catalog:
-        _check_cap(m1.n, n.n)
-        _check_cap(n.n, m2.n)
+    for e in entries:
+        _check_cap(m1.n, e.matroid.n)
+        _check_cap(e.matroid.n, m2.n)
     t1, t2 = _tables(m1), _tables(m2)
     terms = []
     total = Fraction(0)
-    for n in catalog:
+    for e in entries:
+        n = e.matroid
         # pigeonhole: no surjection onto a larger class, no embedding of one
         if n.n > m1.n or n.n > m2.n:
             continue
-        tn = _tables(n)
-        s = sum(_count(t1, tn, onto=True).values())
+        s = sum(_count(t1, e.tables, onto=True).values())
         if s == 0:
             continue
-        e = _embeddings(tn, t2, _count(tn, t2, injective=True))
-        if e == 0:
+        emb = _embeddings(e.tables, t2, _count(e.tables, t2, injective=True))
+        if emb == 0:
             continue
-        term = DecompositionTerm(n, s, e, aut_order(n))
+        term = DecompositionTerm(n, s, emb, e.aut)
         terms.append(term)
         total += term.contribution
     return DecompositionReport(direct.hom, total, tuple(terms))
 
 
-def hom_profile(m: AnyMatroid, catalog: list[AnyMatroid]) -> tuple[int, ...]:
+def hom_profile(m: AnyMatroid, catalog: Iterable[AnyMatroid]) -> tuple[int, ...]:
     """Vector of hom counts from m into each catalog representative."""
     t = _tables(m)
     out = []
-    for n in catalog:
-        _check_cap(m.n, n.n)
-        out.append(sum(_count(t, _tables(n)).values()))
+    for e in Catalog.wrap(catalog).entries:
+        _check_cap(m.n, e.matroid.n)
+        out.append(sum(_count(t, e.tables).values()))
     return tuple(out)
 
 
 def lovasz_isomorphism_test(
     m1: AnyMatroid,
     m2: AnyMatroid,
-    catalog: list[AnyMatroid] | None = None,
+    catalog: Iterable[AnyMatroid] | None = None,
     return_witness: bool = False,
 ):
     """Decide isomorphism by comparing hom profiles over a separating catalog.
@@ -416,12 +490,11 @@ def lovasz_isomorphism_test(
     if catalog is None:
         catalog = iso_class_catalog(max(m1.n, m2.n))
     t1, t2 = _tables(m1), _tables(m2)
-    for n in catalog:
-        _check_cap(m1.n, n.n)
-        _check_cap(m2.n, n.n)
-        tn = _tables(n)
-        a = sum(_count(t1, tn).values())
-        b = sum(_count(t2, tn).values())
+    for e in Catalog.wrap(catalog).entries:
+        _check_cap(m1.n, e.matroid.n)
+        _check_cap(m2.n, e.matroid.n)
+        a = sum(_count(t1, e.tables).values())
+        b = sum(_count(t2, e.tables).values())
         if a != b:
-            return (False, (n, a, b)) if return_witness else False
+            return (False, (e.matroid, a, b)) if return_witness else False
     return (True, None) if return_witness else True

@@ -13,6 +13,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import permutations
+from operator import mul
 
 from qmatroid import kernel
 from qmatroid.autgroup import automorphism_group, is_isomorphic
@@ -41,6 +42,8 @@ from qmatroid.quantum import (
 )
 from qmatroid.strongmaps import (
     EMPTY_MATROID,
+    _count,
+    _embeddings,
     hom_profile,
     iso_class_catalog,
     lovasz_isomorphism_test,
@@ -319,6 +322,51 @@ def test_criterion_6b_hom_profiles_separate_five_element_classes():
     ok = len(catalog) == 70 and len(profiles) == 70
     detail = f"{len(profiles)} distinct hom profiles of {len(catalog)} classes, {elapsed:.1f}s"
     report("6b", ok, detail)
+
+
+def test_criterion_6c_decomposition_matrix_identity_on_five_element_classes():
+    # hom = sum over image classes of surj * emb / aut, on every ordered pair
+    # of classes with n <= 5 at once: H = S * diag(1/|Aut|) * E, with the
+    # counts walked over the catalog's held tables and its held orders
+    start = time.monotonic()
+    entries = iso_class_catalog(5).entries
+
+    def walk(a, b, **restriction):
+        return _count(a.tables, b.tables, **restriction)
+
+    hom, scaled, emb = [], [], []
+    for a in entries:
+        hom.append([sum(walk(a, b).values()) for b in entries])
+        # pigeonhole: no surjection onto, and no embedding of, a larger class
+        scaled.append(
+            [
+                Fraction(sum(walk(a, b, onto=True).values()), b.aut)
+                if b.matroid.n <= a.matroid.n
+                else 0
+                for b in entries
+            ]
+        )
+        emb.append(
+            [
+                _embeddings(a.tables, b.tables, walk(a, b, injective=True))
+                if a.matroid.n <= b.matroid.n
+                else 0
+                for b in entries
+            ]
+        )
+    columns = list(zip(*emb))
+    held = sum(
+        h == sum(map(mul, row, col), Fraction(0))
+        for row, hrow in zip(scaled, hom)
+        for col, h in zip(columns, hrow)
+    )
+    elapsed = time.monotonic() - start
+    ok = len(entries) == 70 and held == 4900
+    report(
+        "6c",
+        ok,
+        f"H = S diag(1/|Aut|) E on {held} of {len(entries) ** 2} ordered pairs, {elapsed:.1f}s",
+    )
 
 
 def _naive_first_match(patterns, text):

@@ -12,7 +12,7 @@ from qmatroid import kernel
 from qmatroid.autgroup import automorphism_group
 from qmatroid.groebner import EngineConfig, buchberger
 from qmatroid.matroids import TooLarge, decode_revlex, enumerate_all_matroids, uniform
-from qmatroid.ncpoly import Algebra, normal_remainder
+from qmatroid.ncpoly import Algebra, VariableUniverseMismatch, normal_remainder
 from qmatroid.quantum import (
     AXIOM_KINDS,
     HasLoops,
@@ -141,6 +141,11 @@ class TestMismatchGenerators:
             rows = tuple(v.row for v in letters)
             cols = tuple(v.col for v in letters)
             assert (rows in ts[2]) != (cols in ts[2])
+
+    def test_label_outside_the_algebra_is_refused(self):
+        alg = Algebra((1, 2, 3))
+        with pytest.raises(VariableUniverseMismatch, match="label 4 not in"):
+            tuple_ideal_generators(alg, tuple_set(uniform(2, 4), "bases"))
 
     def test_generator_cap(self):
         alg = Algebra(tuple(range(1, 9)))

@@ -15,6 +15,7 @@ from qmatroid.strongmaps import (
     BASEPOINT,
     EMPTY_KEY,
     EMPTY_MATROID,
+    Catalog,
     CatalogIncomplete,
     StrongMap,
     aut_order,
@@ -27,6 +28,7 @@ from qmatroid.strongmaps import (
     strong_maps,
     verify_decomposition,
 )
+from qmatroid import strongmaps
 from qmatroid.strongmaps import _count, _embeddings, _tables
 
 
@@ -330,3 +332,56 @@ class TestGoldenOutputs:
         for m in catalog4:
             h.update(repr(hom_profile(m, catalog4)).encode())
         assert h.hexdigest() == GOLDEN_HOM4_DIGEST
+
+
+class TestCatalog:
+    def test_held_keys_are_the_relabeling_search_keys(self):
+        catalog = iso_class_catalog(5)
+        assert isinstance(catalog, Catalog)
+        # the enumeration's keys are held, so reading them computes nothing
+        assert all("key" in vars(e) for e in catalog.entries)
+        assert [e.key for e in catalog.entries] == [iso_key(m) for m in catalog]
+
+    def test_held_facts_match_per_call_ones(self, catalog4):
+        for e in catalog4.entries:
+            assert e.tables == _tables(e.matroid)
+            assert e.aut == aut_order(e.matroid)
+
+    def test_plain_list_gives_the_same_results(self, catalog4):
+        plain = list(catalog4)
+        assert not isinstance(plain, Catalog)
+        sample = catalog4[::5]
+        for m1 in sample:
+            for m2 in sample:
+                assert verify_decomposition(m1, m2, plain) == verify_decomposition(
+                    m1, m2, catalog4
+                )
+                assert lovasz_isomorphism_test(m1, m2, plain) == lovasz_isomorphism_test(
+                    m1, m2, catalog4
+                )
+            assert hom_profile(m1, plain) == hom_profile(m1, catalog4)
+
+    def test_counts_are_not_held(self, catalog4, monkeypatch):
+        calls = []
+        real = strongmaps.hom_counts
+
+        def counting(m1, m2):
+            calls.append((m1, m2))
+            return real(m1, m2)
+
+        monkeypatch.setattr(strongmaps, "hom_counts", counting)
+        m = uniform(2, 3)
+        first = verify_decomposition(m, m, catalog4)
+        assert verify_decomposition(m, m, catalog4) == first
+        assert calls == [(m, m), (m, m)]
+
+    def test_sequence_surface(self, catalog2):
+        assert isinstance(catalog2[1:], Catalog)
+        assert list(catalog2[1:]) == list(catalog2)[1:]
+        assert catalog2[-1] is list(catalog2)[-1]
+        extended = catalog2 + [uniform(1, 3)]
+        assert isinstance(extended, Catalog) and len(extended) == 8
+        # entries are shared, so what catalog2 holds the sum holds too
+        assert extended.entries[:7] == catalog2.entries
+        assert Catalog.wrap(catalog2) is catalog2
+        assert uniform(1, 1) in catalog2
