@@ -401,11 +401,20 @@ def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
     at any position of a word, and the earliest-ending match names the same
     element in any pattern order.
 
-    Phase two stays a second pass.  A single pass that puts back on the
-    queue every kept element whose tail contains a newly kept, smaller
-    leading word takes other reduction paths, and on a set that is not a
-    Groebner basis normal forms depend on the path: its output differs on
-    some such inputs (TestInterreduce pins one).
+    Phase two is skipped when phase one never met a leading word below the
+    largest kept one, and phase one's reducer data is returned as it is.
+    Then no eviction happened and the appends arrived in ascending order, so
+    step for step phase two's fresh reducer would hold the same data in the
+    same pattern order as phase one's reducer when the same element was
+    appended.  Every word of a phase-one remainder is irreducible against
+    exactly those earlier elements, so each tail would come back unchanged
+    from reduce_terms, and monic_data would return the same tuple.
+
+    Otherwise phase two stays a second pass.  A single pass that puts back
+    on the queue every kept element whose tail contains a newly kept,
+    smaller leading word takes other reduction paths, and on a set that is
+    not a Groebner basis normal forms depend on the path: its output differs
+    on some such inputs (TestInterreduce pins one).
 
     The kept elements live only in the reducers, in kernel form; polynomials
     are built from them once, on return.
@@ -421,6 +430,7 @@ def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
     seq = len(heap)
     reducer = kernel.Reducer()
     top = None  # sort key of the largest kept leading word
+    ascending = True  # no leading word has come in below top
 
     while heap:
         _, _, terms = heappop(heap)
@@ -434,6 +444,7 @@ def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
         xkey = kernel.sort_key(xlt)
         evicted = []
         if top is not None and xkey < top:
+            ascending = False
             data = reducer.data
             evicted = [d for d in data if xlt in d[0]]
             if evicted:
@@ -446,6 +457,8 @@ def interreduce(polys: Sequence[NcPolynomial]) -> list[NcPolynomial]:
             heappush(heap, (kernel.sort_key(d[0]), seq, data_terms(d)))
             seq += 1
 
+    if ascending:
+        return [NcPolynomial(alg, data_terms(d)) for d in reducer.data]
     final = kernel.Reducer()
     for lt, tail in sorted(reducer.data, key=lambda d: kernel.sort_key(d[0])):
         final.append(monic_data({lt: 1, **kernel.reduce_terms(dict(tail), final)}))

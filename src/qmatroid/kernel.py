@@ -178,6 +178,17 @@ def reduce_terms(
     trace is a list, (cofactor, left, index, right) quadruples are appended
     such that input = sum of cofactor * left * data[index] * right + output.
 
+    The pending words sit in one heap of reversed words per word length,
+    kept in a dict by length, and the longest pending length is taken out
+    first.  Among words of one length the smallest reversed word is the
+    largest word, so each heap pops in descending word order.  Every word
+    pushed while length n is popped is smaller than the word just popped (a
+    rewrite and a prefix substitution both give smaller words, and the order
+    is graded), so its length is n or shorter: it joins the heap being
+    popped, or the list of a shorter length, which is heapified when that
+    length is taken out.  So the pops run in descending word order across
+    lengths too, as from one heap over all words.
+
     An untraced call uses the reducer's memo; a traced one leaves it alone,
     and both give the same output.  The normal form is linear (see the module
     docstring): a word of length below len(memo) whose NF is stored adds
@@ -187,85 +198,97 @@ def reduce_terms(
     word w looks up its prefix x = w[:len(memo) - 1] the same way, and when
     NF(x) is stored and is not x itself, c*w is replaced by c*NF(x)*y for
     w = x y (the prefix lemma in the module docstring); otherwise w takes
-    the rewrite step.
+    the rewrite step.  The memo table is chosen once per length.
     """
     basis, automaton, memo = reducer.data, reducer.automaton, reducer.memo
     work = dict(terms)
-    heap = [(-len(w), w[::-1], w) for w in work]
-    heapify(heap)
+    heaps: dict[int, list[bytes]] = {}
+    for w in work:
+        heaps.setdefault(len(w), []).append(w[::-1])
     out: dict[bytes, Fraction] = {}
     top = len(memo) if trace is None else 0
     # the longest stored length, the prefix length for longer words
     bound = top - 1
     prefixes = memo[bound] if trace is None else None
-    while heap:
-        n, _, w = heappop(heap)
-        c = work.pop(w, None)
-        if c is None:
-            continue
-        if -n < top:
-            table = memo[-n]
-            nf = table.get(w, _UNSEEN)
-            if nf is _UNSEEN:
-                table[w] = None
-            else:
-                if nf is None:
-                    nf = _normal_form(w, reducer)
-                _add_flat(out, nf, c)
+    while heaps:
+        # the longest pending length; no push makes a longer word
+        n = max(heaps)
+        heap = heaps.pop(n)
+        heapify(heap)
+        table = memo[n] if n < top else None
+        while heap:
+            w = heappop(heap)[::-1]
+            c = work.pop(w, None)
+            if c is None:
                 continue
-        elif prefixes is not None:
-            x = w[:bound]
-            nf = prefixes.get(x, _UNSEEN)
-            if nf is _UNSEEN:
-                prefixes[x] = None
-            else:
-                if nf is None:
-                    nf = _normal_form(x, reducer)
-                if nf != (x, 1):
-                    # NF(x y) = NF(NF(x) y): replace c*w by c*sum cu*(u y)
-                    y = w[bound:]
-                    it = iter(nf)
-                    for u, cu in zip(it, it):
-                        nw = u + y
-                        old = work.get(nw)
-                        if old is None:
-                            work[nw] = c * cu
-                            heappush(heap, (-len(nw), nw[::-1], nw))
-                        else:
-                            nc = old + c * cu
-                            if nc:
-                                work[nw] = nc
-                            else:
-                                del work[nw]
-                    continue
-        end, idx = automaton.first_match(w)
-        if idx < 0:
-            # memoized normal forms may have put w in the output already
-            old = out.get(w)
-            s = c if old is None else old + c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-            continue
-        lt, tail = basis[idx]
-        start = end + 1 - len(lt)
-        a = w[:start]
-        b = w[end + 1 :]
-        if trace is not None:
-            trace.append((c, a, idx, b))
-        for v, cv in tail:
-            nw = a + v + b
-            old = work.get(nw)
-            if old is None:
-                work[nw] = -c * cv
-                heappush(heap, (-len(nw), nw[::-1], nw))
-            else:
-                nc = old - c * cv
-                if nc:
-                    work[nw] = nc
+            if table is not None:
+                nf = table.get(w, _UNSEEN)
+                if nf is _UNSEEN:
+                    table[w] = None
                 else:
-                    del work[nw]
+                    if nf is None:
+                        nf = _normal_form(w, reducer)
+                    _add_flat(out, nf, c)
+                    continue
+            elif prefixes is not None:
+                x = w[:bound]
+                nf = prefixes.get(x, _UNSEEN)
+                if nf is _UNSEEN:
+                    prefixes[x] = None
+                else:
+                    if nf is None:
+                        nf = _normal_form(x, reducer)
+                    if nf != (x, 1):
+                        # NF(x y) = NF(NF(x) y): replace c*w by c*sum cu*(u y)
+                        y = w[bound:]
+                        it = iter(nf)
+                        for u, cu in zip(it, it):
+                            nw = u + y
+                            old = work.get(nw)
+                            if old is None:
+                                work[nw] = c * cu
+                                if len(nw) == n:
+                                    heappush(heap, nw[::-1])
+                                else:
+                                    heaps.setdefault(len(nw), []).append(nw[::-1])
+                            else:
+                                nc = old + c * cu
+                                if nc:
+                                    work[nw] = nc
+                                else:
+                                    del work[nw]
+                        continue
+            end, idx = automaton.first_match(w)
+            if idx < 0:
+                # memoized normal forms may have put w in the output already
+                old = out.get(w)
+                s = c if old is None else old + c
+                if s:
+                    out[w] = s
+                else:
+                    del out[w]
+                continue
+            lt, tail = basis[idx]
+            start = end + 1 - len(lt)
+            a = w[:start]
+            b = w[end + 1 :]
+            if trace is not None:
+                trace.append((c, a, idx, b))
+            for v, cv in tail:
+                nw = a + v + b
+                old = work.get(nw)
+                if old is None:
+                    work[nw] = -c * cv
+                    if len(nw) == n:
+                        heappush(heap, nw[::-1])
+                    else:
+                        heaps.setdefault(len(nw), []).append(nw[::-1])
+                else:
+                    nc = old - c * cv
+                    if nc:
+                        work[nw] = nc
+                    else:
+                        del work[nw]
     return out
 
 

@@ -18,7 +18,9 @@ every flat and is the reference the enumeration is tested against.
 One walk finds every strong map.  It assigns source elements depth first,
 in itertools.product order, carrying one partial preimage per target
 hyperplane, and calls a leaf function at each strong map instead of building
-it: counting keeps a tally per image, strong_maps collects the assignments.
+it: hom_counts and the embedding count keep a tally per image, the checks
+that need only a number of maps add to one integer, and strong_maps collects
+the assignments.
 A branch is pruned as soon as a partial preimage is not the trace of any
 source flat on the elements assigned so far, since no completion can then
 make it a flat.  Two exact restrictions serve the decomposition check.  For
@@ -280,6 +282,18 @@ def _count(
     return by_image
 
 
+def _total(t1: _Tables, t2: _Tables, onto: bool = False) -> int:
+    """The number of strong maps, or of surjections when onto: one integer, no tally."""
+    total = 0
+
+    def add(values: list[int], image: int) -> None:
+        nonlocal total
+        total += 1
+
+    _walk(t1, t2, add, onto)
+    return total
+
+
 def _embeddings(t1: _Tables, t2: _Tables, by_image: dict[int, int]) -> int:
     # n1 image elements: injective and nothing sent to the basepoint; such a
     # strong map is an embedding exactly when it keeps the source's rank,
@@ -326,19 +340,23 @@ def hom_counts(m1: AnyMatroid, m2: AnyMatroid) -> HomCounts:
         else:
             key = EMPTY_KEY
         by_class[key] = by_class.get(key, 0) + count
-    hom, surj = sum(by_image.values()), by_image.get((1 << m2.n) - 1, 0)
+    hom, surj = sum(by_image.values()), by_image.get((1 << t2.n) - 1, 0)
     emb = _embeddings(t1, t2, by_image)
     return HomCounts(hom, surj, emb, tuple(sorted(by_class.items())))
 
 
 class CatalogEntry:
-    """One catalog matroid with its class key, tables and automorphism
-    order, each computed on first use and then held."""
+    """One catalog matroid with its ground set size, class key, tables and
+    automorphism order, each computed on first use and then held."""
 
     def __init__(self, matroid: AnyMatroid, key: tuple[int, tuple[int, ...]] | None = None):
         self.matroid = matroid
         if key is not None:
             self.key = key
+
+    @cached_property
+    def n(self) -> int:
+        return self.matroid.n
 
     @cached_property
     def key(self) -> tuple[int, tuple[int, ...]]:
@@ -440,24 +458,24 @@ def verify_decomposition(
     missing = [k for k, _ in direct.by_image_class if k not in keys]
     if missing:
         raise CatalogIncomplete(f"catalog lacks image classes with keys {missing}")
+    n1, n2 = m1.n, m2.n
     for e in entries:
-        _check_cap(m1.n, e.matroid.n)
-        _check_cap(e.matroid.n, m2.n)
+        _check_cap(n1, e.n)
+        _check_cap(e.n, n2)
     t1, t2 = _tables(m1), _tables(m2)
     terms = []
     total = Fraction(0)
     for e in entries:
-        n = e.matroid
         # pigeonhole: no surjection onto a larger class, no embedding of one
-        if n.n > m1.n or n.n > m2.n:
+        if e.n > n1 or e.n > n2:
             continue
-        s = sum(_count(t1, e.tables, onto=True).values())
+        s = _total(t1, e.tables, onto=True)
         if s == 0:
             continue
         emb = _embeddings(e.tables, t2, _count(e.tables, t2, injective=True))
         if emb == 0:
             continue
-        term = DecompositionTerm(n, s, emb, e.aut)
+        term = DecompositionTerm(e.matroid, s, emb, e.aut)
         terms.append(term)
         total += term.contribution
     return DecompositionReport(direct.hom, total, tuple(terms))
@@ -468,8 +486,8 @@ def hom_profile(m: AnyMatroid, catalog: Iterable[AnyMatroid]) -> tuple[int, ...]
     t = _tables(m)
     out = []
     for e in Catalog.wrap(catalog).entries:
-        _check_cap(m.n, e.matroid.n)
-        out.append(sum(_count(t, e.tables).values()))
+        _check_cap(t.n, e.n)
+        out.append(_total(t, e.tables))
     return tuple(out)
 
 
@@ -491,10 +509,10 @@ def lovasz_isomorphism_test(
         catalog = iso_class_catalog(max(m1.n, m2.n))
     t1, t2 = _tables(m1), _tables(m2)
     for e in Catalog.wrap(catalog).entries:
-        _check_cap(m1.n, e.matroid.n)
-        _check_cap(m2.n, e.matroid.n)
-        a = sum(_count(t1, e.tables).values())
-        b = sum(_count(t2, e.tables).values())
+        _check_cap(t1.n, e.n)
+        _check_cap(t2.n, e.n)
+        a = _total(t1, e.tables)
+        b = _total(t2, e.tables)
         if a != b:
             return (False, (e.matroid, a, b)) if return_witness else False
     return (True, None) if return_witness else True

@@ -633,10 +633,9 @@ class TestInterreduce:
         u11 = alg2.gen(1, 1)
         assert interreduce([u11 * u11 - u11, u11 * u11 * u11]) == [u11]
 
-    def test_eviction_of_an_earlier_kept_word(self, monkeypatch, alg3):
-        # u11*u12*u13 + u12 reduces to u12, whose word divides the kept
-        # u11*u12 (but not u13*u13): the eviction scan runs and starts one
-        # reducer beyond the initial one; phase two builds a third
+    @staticmethod
+    def automata_built(monkeypatch) -> list:
+        """The kernel.Automaton instances built from here on, in order."""
         built = []
 
         class Spy(kernel.Automaton):
@@ -645,10 +644,33 @@ class TestInterreduce:
                 super().__init__(*args)
 
         monkeypatch.setattr(kernel, "Automaton", Spy)
+        return built
+
+    def test_eviction_of_an_earlier_kept_word(self, monkeypatch, alg3):
+        # u11*u12*u13 + u12 reduces to u12, whose word divides the kept
+        # u11*u12 (but not u13*u13): the eviction scan runs and starts one
+        # reducer beyond the initial one; phase two builds a third
+        built = self.automata_built(monkeypatch)
         a, b, c = alg3.gen(1, 1), alg3.gen(1, 2), alg3.gen(1, 3)
         reduced = interreduce([a * b, c * c, a * b * c + b])
         assert reduced == [b, c * c]
         assert len(built) == 3
+
+    def test_ascending_input_skips_phase_two(self, monkeypatch, alg3):
+        # the remainders come in ascending leading-word order, the last one
+        # reduced through both earlier elements, so phase one's reducer is
+        # the output and no second reducer is built
+        built = self.automata_built(monkeypatch)
+        a, b, c = alg3.gen(1, 1), alg3.gen(1, 2), alg3.gen(1, 3)
+        polys = [a * b * c * c + 3 * b * c * c - c, a * b - c, c * c - a]
+        reduced = interreduce(polys)
+        assert len(built) == 1
+        assert [alg3.format_poly(p) for p in reduced] == [
+            "u[1,3]*u[1,3] - u[1,1]",
+            "u[1,1]*u[1,2] - u[1,3]",
+            "u[1,2]*u[1,1] + 1/3*u[1,1]*u[1,3] - 1/3*u[1,3]",
+        ]
+        assert reduced == in_place_interreduce(polys)
 
     def test_non_groebner_input_keeps_two_phase_output(self, alg2):
         # not a Groebner basis, so normal forms depend on the reduction path:

@@ -1,5 +1,6 @@
 """Kernel: automaton, reduction loop, overlap scan, word order."""
 
+import heapq
 import random
 from fractions import Fraction
 
@@ -387,6 +388,136 @@ class TestNormalFormMemo:
             assert reducer.memo == before
             assert replay_trace(trace, basis, remainders[-1]) == p
         assert remainders == [normal_remainder(p, reducer) for p in polys]
+
+
+def single_heap_reduce_terms(terms, reducer, trace=None):
+    """Reference reduce_terms: one heap keyed (-len(w), reversed w, w) over all lengths.
+
+    The same steps as kernel.reduce_terms, memo and prefix substitution
+    included, with every pending word in one heap and the memo table chosen
+    on every pop.
+    """
+    basis, automaton, memo = reducer.data, reducer.automaton, reducer.memo
+    work = dict(terms)
+    heap = [(-len(w), w[::-1], w) for w in work]
+    heapq.heapify(heap)
+    out = {}
+    top = len(memo) if trace is None else 0
+    bound = top - 1
+    prefixes = memo[bound] if trace is None else None
+
+    def push(nw, c):
+        old = work.get(nw)
+        if old is None:
+            work[nw] = c
+            heapq.heappush(heap, (-len(nw), nw[::-1], nw))
+        elif old + c:
+            work[nw] = old + c
+        else:
+            del work[nw]
+
+    while heap:
+        n, _, w = heapq.heappop(heap)
+        c = work.pop(w, None)
+        if c is None:
+            continue
+        if -n < top:
+            table = memo[-n]
+            nf = table.get(w, kernel._UNSEEN)
+            if nf is kernel._UNSEEN:
+                table[w] = None
+            else:
+                kernel._add_flat(out, kernel._normal_form(w, reducer) if nf is None else nf, c)
+                continue
+        elif prefixes is not None:
+            x = w[:bound]
+            nf = prefixes.get(x, kernel._UNSEEN)
+            if nf is kernel._UNSEEN:
+                prefixes[x] = None
+            else:
+                if nf is None:
+                    nf = kernel._normal_form(x, reducer)
+                if nf != (x, 1):
+                    it = iter(nf)
+                    for u, cu in zip(it, it):
+                        push(u + w[bound:], c * cu)
+                    continue
+        end, idx = automaton.first_match(w)
+        if idx < 0:
+            s = out.get(w, 0) + c
+            if s:
+                out[w] = s
+            else:
+                del out[w]
+            continue
+        lt, tail = basis[idx]
+        a, b = w[: end + 1 - len(lt)], w[end + 1 :]
+        if trace is not None:
+            trace.append((c, a, idx, b))
+        for v, cv in tail:
+            push(a + v + b, -c * cv)
+    return out
+
+
+class TestPerLengthHeaps:
+    """reduce_terms, with one heap per word length, takes the same steps as one heap over all."""
+
+    def test_equals_single_heap_reference(self):
+        rng = random.Random(67)
+        memoized_cases = 0
+        for _ in range(320):
+            alphabet = list(range(rng.randrange(2, 4)))
+            data = []
+            for _ in range(rng.randrange(1, 10)):
+                lt = bytes(rng.choice(alphabet) for _ in range(rng.randrange(1, 4)))
+                if naive_first_match([d[0] for d in data], lt)[1] < 0:
+                    data.append(random_entry(rng, alphabet, lt))
+            # two reducers in the same state, one for each loop
+            ours, theirs = kernel.Reducer(data), kernel.Reducer(data)
+            for _ in range(rng.randrange(1, 6)):
+                # mixed lengths, the empty word and words beyond the memo bound among them
+                terms = {
+                    bytes(rng.choice(alphabet) for _ in range(rng.randrange(9))): rng.randrange(-3, 4) or 1
+                    for _ in range(rng.randrange(1, 6))
+                }
+                trace, expected_trace = [], []
+                got = kernel.reduce_terms(dict(terms), ours, trace)
+                expected = single_heap_reduce_terms(dict(terms), theirs, expected_trace)
+                assert list(got.items()) == list(expected.items())
+                assert trace == expected_trace
+                got = kernel.reduce_terms(dict(terms), ours)
+                expected = single_heap_reduce_terms(dict(terms), theirs)
+                assert list(got.items()) == list(expected.items())
+                assert ours.memo == theirs.memo
+                memoized_cases += any(type(nf) is tuple for table in ours.memo for nf in table.values())
+        assert memoized_cases > 300
+
+    def test_empty_terms(self):
+        reducer = kernel.Reducer([(b"\x00\x00", ((b"\x00", Fraction(-1)),))])
+        trace = []
+        assert kernel.reduce_terms({}, reducer, trace) == {} and trace == []
+        assert kernel.reduce_terms({}, reducer) == {}
+        # the empty word is irreducible and comes out as it went in
+        assert kernel.reduce_terms({b"": Fraction(3)}, reducer) == {b"": Fraction(3)}
+
+    def test_word_of_300_letters(self):
+        # x*x - x rewrites x^300 down to x in 299 steps, through 300 lengths
+        x = b"\x00"
+        reducer = kernel.Reducer([(x + x, ((x, Fraction(-1)),))])
+        trace = []
+        assert kernel.reduce_terms({x * 300: Fraction(2)}, reducer, trace) == {x: Fraction(2)}
+        assert trace == [(Fraction(2), b"", 0, x * k) for k in range(298, -1, -1)]
+        assert kernel.reduce_terms({x * 300: Fraction(2)}, reducer) == {x: Fraction(2)}
+        # y*x - x*y sorts a long word with both letters, pushing within one length
+        rng = random.Random(71)
+        w = bytes(rng.randrange(2) for _ in range(300))
+        ours = kernel.Reducer([(b"\x01\x00", ((b"\x00\x01", Fraction(-1)),))])
+        theirs = kernel.Reducer(ours.data)
+        ones = w.count(1)
+        for trace in ([], None):
+            got = kernel.reduce_terms({w: 1, x: 1}, ours, trace)
+            assert got == single_heap_reduce_terms({w: 1, x: 1}, theirs, None if trace is None else [])
+            assert got == {bytes(300 - ones) + bytes([1]) * ones: 1, x: 1}
 
 
 @backends

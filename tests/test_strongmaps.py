@@ -29,7 +29,7 @@ from qmatroid.strongmaps import (
     verify_decomposition,
 )
 from qmatroid import strongmaps
-from qmatroid.strongmaps import _count, _embeddings, _tables
+from qmatroid.strongmaps import _count, _embeddings, _tables, _total
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +313,13 @@ class TestRestrictedWalks:
             assert all(image.bit_count() == m1.n for image in injective)
             assert _embeddings(t1, t2, injective) == _embeddings(t1, t2, by_image), (m1, m2)
 
+    def test_totals_equal_the_tallies(self, catalog4):
+        # the one-integer leaf counts what the image tally sums to
+        for m1, m2 in [(a, b) for a in catalog4 for b in catalog4] + REFERENCE_PAIRS:
+            t1, t2 = _tables(m1), _tables(m2)
+            assert _total(t1, t2) == sum(_count(t1, t2).values()), (m1, m2)
+            assert _total(t1, t2, onto=True) == sum(_count(t1, t2, onto=True).values()), (m1, m2)
+
 
 # SHA-256 of every verify_decomposition report over the ordered pairs of
 # iso_class_catalog(4), with each term's class and counts, and of every hom
@@ -344,6 +351,7 @@ class TestCatalog:
 
     def test_held_facts_match_per_call_ones(self, catalog4):
         for e in catalog4.entries:
+            assert e.n == e.matroid.n and "n" in vars(e)
             assert e.tables == _tables(e.matroid)
             assert e.aut == aut_order(e.matroid)
 
